@@ -12,13 +12,13 @@ Run:  python3 demos/03_chsh_parity.py
 import math
 from dataclasses import replace
 
-from noonbell import OptimizerConfig, catalog, chsh_value, optimize
+from noonbell import OptimizerConfig, catalog, evaluate_functional, optimize
 
 chsh = catalog()["chsh"]
 
 print("=== the all-zero settings sit on the classical edge ===")
 for n in (1, 2, 3):
-    print(f"  N={n}:  value(0,0,0,0) = {chsh_value(n, [0, 0, 0, 0]):+.1f}")
+    print(f"  N={n}:  value(0,0,0,0) = {evaluate_functional(chsh, n, [0, 0, 0, 0]):+.1f}")
 
 print()
 print("=== optimized band crossings, N = 1..5 ===")

@@ -23,8 +23,8 @@ from noonbell import (
     OptimizerConfig,
     catalog,
     certify_with_grid,
+    evaluate_functional,
     functional_limit,
-    j_value,
     optimize,
 )
 from noonbell.svgplot import line_plot_svg
@@ -36,7 +36,7 @@ zeros = np.zeros(4, dtype=complex)
 
 print("=== all-zero witnesses ===")
 for which, bound in ((1, 1.0), (2, 3.0), (3, 0.0), (4, 1.0)):
-    value = j_value(which, 3, zeros)
+    value = evaluate_functional(CAT[f"j{which}"], 3, zeros)
     note = "violates" if (value > bound if which != 3 else value < bound) else "inside"
     print(f"  j{which}(0,0,0,0) = {value:.2f}   bound {bound:+.0f}   ({note})")
 
@@ -73,7 +73,8 @@ print()
 print("=== j4: the 1.5 limit versus the true optimum ===")
 limit = functional_limit(CAT["j4"], 1, zeros, [False, False, False, True])
 print(f"  large-|delta| limit of j4(0,0,0,delta): {limit}")
-print(f"  j4(0,0,0,sqrt(3)) = {j_value(4, 1, [0, 0, 0, math.sqrt(3.0)]):.6f}  (already above 1.5)")
+interior = evaluate_functional(CAT["j4"], 1, [0, 0, 0, math.sqrt(3.0)])
+print(f"  j4(0,0,0,sqrt(3)) = {interior:.6f}  (already above 1.5)")
 for n in (1, 2, 3):
     r = optimize(CAT["j4"], n, OptimizerConfig(rng_seed=17 ^ n, num_starts=32))
     print(f"  N={n}:  max j4 = {r.best_value:.6f}  at settings {np.round(r.best_settings, 3)}")

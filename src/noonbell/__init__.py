@@ -5,8 +5,8 @@ The library exposes four layers:
 * :mod:`noonbell.correlators` -- closed-form detection probabilities and the
   displaced-parity/Wigner correlators;
 * :mod:`noonbell.inequalities` -- the Bell-functional catalog (CH, CHSH, the
-  three-event Bell-Wigner pair, and the six-event combinations j1..j4) with
-  generic and hand-coded evaluators;
+  three-event Bell-Wigner pair, and the six-event combinations j1..j4) and
+  the generic evaluator that is the one way to evaluate them;
 * :mod:`noonbell.optimizer` -- deterministic multi-start derivative-free
   violation search with grid certification;
 * :mod:`noonbell.marginals` -- Gauss-Hermite marginal densities, correlation
@@ -18,13 +18,11 @@ interface (``noonbell``).
 """
 
 from noonbell.correlators import (
-    NoonParams,
     click_probabilities,
     laguerre,
     parity_corr,
     q_joint,
     q_single_a,
-    q_single_b,
     wigner,
 )
 from noonbell.fock import (
@@ -42,17 +40,13 @@ from noonbell.fock import (
 )
 from noonbell.inequalities import (
     BellFunctional,
-    bell_wigner_values,
     catalog,
     catalog_json,
     ch_analytic_reduced,
     ch_analytic_reduced_margin,
     ch_reduced_settings,
-    ch_value,
-    chsh_value,
     evaluate_functional,
     functional_limit,
-    j_value,
     validate_settings,
 )
 from noonbell.marginals import (
@@ -82,11 +76,9 @@ from noonbell.optimizer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "NoonParams",
     "laguerre",
     "q_joint",
     "q_single_a",
-    "q_single_b",
     "click_probabilities",
     "parity_corr",
     "wigner",
@@ -107,13 +99,9 @@ __all__ = [
     "validate_settings",
     "evaluate_functional",
     "functional_limit",
-    "ch_value",
     "ch_analytic_reduced",
     "ch_analytic_reduced_margin",
     "ch_reduced_settings",
-    "chsh_value",
-    "bell_wigner_values",
-    "j_value",
     "OptimizerConfig",
     "OptimizationResult",
     "CertificationReport",

@@ -1,15 +1,18 @@
 """Command-line front end.
 
 Commands: eval, optimize, sweep, marginal, verify, catalog.  Machine-readable
-outputs (JSON/CSV) are byte-deterministic for a fixed seed and independent of
-the thread count; every run that writes files also writes a
-``<out>.manifest.json`` listing the command, the fully resolved parameters,
-and the produced files, so the run can be replayed.
+outputs (JSON/CSV) are byte-deterministic for a fixed seed; every run that
+writes files also writes a ``<out>.manifest.json`` listing the command, the
+fully resolved parameters, and the produced files, so the run can be replayed.
 
 Complex amplitudes on the command line use the single-token form ``a+bi``
 (e.g. ``1+0i``, ``-0.5i``, ``2``).  Configuration precedence is built-in
-defaults < JSON config file (``--config``) < command-line flags, with the
-``NOONBELL_THREADS`` environment variable as a fallback for ``--threads``.
+defaults < JSON config file (``--config``) < command-line flags.
+
+``--threads``, the ``NOONBELL_THREADS`` environment variable (its fallback)
+and the ``threads`` config key are accepted for compatibility and have no
+effect: the search runs on one thread.  A value that is not an integer >= 1
+is still a usage error.
 """
 
 from __future__ import annotations
@@ -104,14 +107,32 @@ def _resolve(args, config: dict, key: str, builtin):
     return builtin
 
 
+def _resolve_number(args, config: dict, key: str, builtin, kind):
+    """Resolve ``key`` and convert it with ``kind`` (int or float); a value
+    that does not convert is a usage error."""
+    value = _resolve(args, config, key, builtin)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise CliError(f"{key} must be {what}, got {value!r}") from None
+
+
+def _check_threads(args, config: dict) -> None:
+    """Validate the thread count from flag, environment or config; the value
+    itself is not used."""
+    value = _resolve(args, config, "threads", 1)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise CliError(f"threads must be an integer >= 1, got {value!r}")
+
+
 def _optimizer_config(args, config: dict) -> OptimizerConfig:
     try:
         return OptimizerConfig(
-            num_starts=int(_resolve(args, config, "starts", 64)),
-            search_radius=float(_resolve(args, config, "radius", 5.0)),
-            coarse_grid_points_per_axis=int(_resolve(args, config, "grid", 7)),
-            rng_seed=int(_resolve(args, config, "seed", 0)),
-            threads=int(_resolve(args, config, "threads", os.cpu_count() or 1)),
+            num_starts=_resolve_number(args, config, "starts", 64, int),
+            search_radius=_resolve_number(args, config, "radius", 5.0, float),
+            coarse_grid_points_per_axis=_resolve_number(args, config, "grid", 7, int),
+            rng_seed=_resolve_number(args, config, "seed", 0, int),
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -139,17 +160,14 @@ def _eval_registry():
     reg = {
         "q-joint": (2, lambda n, s: float(correlators.q_joint(n, s[0], s[1]))),
         "q-single-a": (1, lambda n, s: float(correlators.q_single_a(n, s[0]))),
-        "q-single-b": (1, lambda n, s: float(correlators.q_single_b(n, s[0]))),
+        # both modes share one single-mode formula
+        "q-single-b": (1, lambda n, s: float(correlators.q_single_a(n, s[0]))),
         "clicks": (2, lambda n, s: [float(v) for v in correlators.click_probabilities(n, s[0], s[1])]),
         "parity": (2, lambda n, s: float(correlators.parity_corr(n, s[0], s[1]))),
         "wigner": (2, lambda n, s: float(correlators.wigner(n, s[0], s[1]))),
         "ch-reduced": (1, _eval_ch_reduced),
-        "bw1": (3, lambda n, s: inequalities.bell_wigner_values(n, s)[0]),
-        "bw2": (3, lambda n, s: inequalities.bell_wigner_values(n, s)[1]),
     }
     for name, functional in inequalities.catalog().items():
-        if name in reg:
-            continue
         reg[name] = (
             functional.num_settings,
             lambda n, s, _f=functional: inequalities.evaluate_functional(_f, n, s),
@@ -164,8 +182,7 @@ def _eval_ch_reduced(n, s):
     return inequalities.ch_analytic_reduced(n, z.real)
 
 
-def cmd_eval(args) -> int:
-    config = _load_config(args.config)
+def cmd_eval(args, config: dict) -> int:
     registry = _eval_registry()
     if args.target not in registry:
         raise CliError(
@@ -183,12 +200,12 @@ def cmd_eval(args) -> int:
         n = int(args.n)
     except ValueError:
         raise CliError(f"--n must be an integer, got {args.n!r}") from None
+    started = time.monotonic()
     try:
         value = func(n, settings)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     fmt = _resolve(args, config, "format", "text")
-    started = time.monotonic()
     if fmt == "json":
         doc = {
             "target": args.target,
@@ -226,8 +243,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_optimize(args) -> int:
-    config = _load_config(args.config)
+def cmd_optimize(args, config: dict) -> int:
     cat = inequalities.catalog()
     if args.functional not in cat:
         raise CliError(f"unknown functional {args.functional!r}; known: {', '.join(sorted(cat))}")
@@ -275,8 +291,7 @@ def cmd_optimize(args) -> int:
     return 0 if result.starts_converged > 0 else 3
 
 
-def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
+def cmd_sweep(args, config: dict) -> int:
     cat = inequalities.catalog()
     if args.functional not in cat:
         raise CliError(f"unknown functional {args.functional!r}; known: {', '.join(sorted(cat))}")
@@ -320,13 +335,12 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_marginal(args) -> int:
-    config = _load_config(args.config)
+def cmd_marginal(args, config: dict) -> int:
     kind = {"q": "q-marginal", "w": "w-marginal"}.get(args.kind, args.kind)
     if args.n is None:
         raise CliError("--n is required for marginal")
-    range_ = float(_resolve(args, config, "range", 3.0))
-    count = int(_resolve(args, config, "count", 64))
+    range_ = _resolve_number(args, config, "range", 3.0, float)
+    count = _resolve_number(args, config, "count", 64, int)
     started = time.monotonic()
     try:
         grid = marginals.density_grid(kind, int(args.n), range_, count)
@@ -360,8 +374,7 @@ def cmd_marginal(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    config = _load_config(args.config)
+def cmd_verify(args, config: dict) -> int:
     checks = verify.run_checks(args.level)
     fmt = _resolve(args, config, "format", "text")
     if fmt == "json":
@@ -392,7 +405,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args, config: dict) -> int:
     sys.stdout.write(inequalities.catalog_json() + "\n")
     return 0
 
@@ -410,7 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (defaults < config < flags)")
         p.add_argument("--format", choices=("json", "csv", "text"), default=None)
         p.add_argument("--out", help="write the payload to this file (plus a manifest)")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument(
+            "--threads", type=int, default=None, help="accepted for compatibility; no effect"
+        )
         if seedful:
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--starts", type=int, default=None)
@@ -456,7 +471,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config = _load_config(getattr(args, "config", None))
+        _check_threads(args, config)
+        return args.func(args, config)
     except CliError as exc:
         print(f"noonbell: error: {exc}", file=sys.stderr)
         return 2

@@ -5,32 +5,29 @@ All quantities refer to the state (|N,0> - |0,N>)/sqrt(2): N photons in one
 arm or the other, with a fixed relative phase of pi.  Displacing each mode by
 a local-oscillator amplitude and detecting gives two measurement schemes:
 
-* on/off detection -- ``q_joint``/``q_single_a``/``q_single_b`` are the
-  no-click probabilities (displaced-vacuum overlaps), ``click_probabilities``
-  the complementary click probabilities;
+* on/off detection -- ``q_joint`` and ``q_single_a`` are the no-click
+  probabilities (displaced-vacuum overlaps; one single-mode formula serves
+  both modes), ``click_probabilities`` the complementary click probabilities;
 * parity detection -- ``parity_corr`` is the correlated displaced-parity
   expectation, and ``wigner`` its rescaling by 4/pi^2, the two-mode Wigner
   function.
 
 Every function accepts python scalars or numpy arrays for the oscillator
-amplitudes and broadcasts elementwise.  The photon number may be passed as a
-plain integer or a :class:`NoonParams`.
+amplitudes and broadcasts elementwise.  The photon number is a plain integer
+(python or numpy) >= 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "NoonParams",
     "photon_number",
     "laguerre",
     "q_joint",
     "q_single_a",
-    "q_single_b",
     "click_probabilities",
     "parity_corr",
     "wigner",
@@ -43,28 +40,11 @@ _DIRECT_N_MAX = 20
 WIGNER_SCALE = 4.0 / math.pi**2
 
 
-@dataclass(frozen=True)
-class NoonParams:
-    """Photon number of the two-mode number state; the relative phase between
-    the |N,0> and |0,N> branches is fixed at pi and not configurable."""
-
-    n: int
-    relative_phase: float = math.pi
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"photon number must be an integer >= 1, got {self.n!r}")
-        if self.relative_phase != math.pi:
-            raise ValueError("the relative phase is fixed at pi in this version")
-
-
 def photon_number(p) -> int:
-    """Coerce an int or NoonParams to a validated photon number."""
-    if isinstance(p, NoonParams):
-        return p.n
+    """Validate a photon number: an int or numpy integer >= 1 (not a bool)."""
     if isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= 1:
         return int(p)
-    raise ValueError(f"photon number must be an integer >= 1 or NoonParams, got {p!r}")
+    raise ValueError(f"photon number must be an integer >= 1, got {p!r}")
 
 
 def _abs2(z):
@@ -107,23 +87,18 @@ def q_joint(p, alpha, beta):
 
 
 def q_single_a(p, alpha):
-    """Probability that mode a's displaced on/off detector stays dark,
-    exp(-|a|^2) (|a|^(2N)/N! + 1) / 2; lies in (0, 1/2]."""
+    """Probability that a mode's displaced on/off detector stays dark,
+    exp(-|a|^2) (|a|^(2N)/N! + 1) / 2; lies in (0, 1/2].  The state is
+    symmetric under mode exchange, so this serves mode b as well."""
     n = photon_number(p)
     return 0.5 * np.exp(-_abs2(alpha)) * (_abs2(_scaled_power(alpha, n)) + 1.0)
-
-
-def q_single_b(p, beta):
-    """Mode-b no-click probability; identical in form to :func:`q_single_a`."""
-    n = photon_number(p)
-    return 0.5 * np.exp(-_abs2(beta)) * (_abs2(_scaled_power(beta, n)) + 1.0)
 
 
 def click_probabilities(p, alpha, beta):
     """Click probabilities (P_a, P_b, P_ab) from the no-click ones via
     completeness: P_a = 1-Q_a, P_b = 1-Q_b, P_ab = 1-Q_a-Q_b+Q_ab."""
     qa = q_single_a(p, alpha)
-    qb = q_single_b(p, beta)
+    qb = q_single_a(p, beta)
     qab = q_joint(p, alpha, beta)
     return 1.0 - qa, 1.0 - qb, 1.0 - qa - qb + qab
 

@@ -1,4 +1,4 @@
-"""Bell functionals as data, plus the evaluators binding them to the
+"""Bell functionals as data, plus the one evaluator binding them to the
 correlators.
 
 Each :class:`BellFunctional` is a linear combination of single and joint
@@ -11,9 +11,9 @@ violation direction.  Three probability kinds appear:
   six-event combinations j1..j4, which are written directly in Q);
 * ``"parity"``  -- correlated displaced-parity expectations (CHSH).
 
-The catalog is immutable static data; the generic :func:`evaluate_functional`
-must agree with the hand-coded evaluators (``ch_value`` etc.) to float
-accuracy, which the test suite enforces.
+The catalog is immutable static data, and :func:`evaluate_functional` is the
+only way to evaluate a functional; the test suite checks it against
+term-by-term transcriptions of each combination.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from noonbell.correlators import (
     photon_number,
     q_joint,
     q_single_a,
-    q_single_b,
 )
 
 __all__ = [
@@ -40,13 +39,9 @@ __all__ = [
     "validate_settings",
     "evaluate_functional",
     "functional_limit",
-    "ch_value",
     "ch_analytic_reduced",
     "ch_analytic_reduced_margin",
     "ch_reduced_settings",
-    "chsh_value",
-    "bell_wigner_values",
-    "j_value",
 ]
 
 _KINDS = ("click", "no-click", "parity")
@@ -278,9 +273,8 @@ def _evaluate_terms(functional: BellFunctional, p, per_setting, inf_mask):
     """Shared evaluation core; ``per_setting`` is a sequence of scalars or
     broadcastable arrays, one per setting label.  No-click probabilities are
     cached per label since both the single terms and the click joints reuse
-    them (the two single-mode formulas coincide numerically)."""
+    them (both modes share one single-mode formula)."""
     kind = functional.probability_kind
-    k = functional.num_settings
 
     q_cache: dict[int, object] = {}
 
@@ -336,35 +330,6 @@ def functional_limit(functional: BellFunctional, p, settings, infinite) -> float
     return float(evaluate_functional(functional, p, settings, infinite=infinite))
 
 
-def ch_value(p, settings):
-    """Clauser-Horne combination on click probabilities, settings ordered
-    (alpha, alpha', beta, beta'):
-
-        P_ab(a,b) - P_ab(a,b') + P_ab(a',b) + P_ab(a',b') - P_a(a') - P_b(b)
-
-    Classically bounded to [-1, 0]; < -1 is the violation reported here
-    (> 0 would break the band as well but does not occur for these states).
-    """
-    arr = validate_settings(_CATALOG["ch"], settings)
-    a, ap = arr[..., 0], arr[..., 1]
-    b, bp = arr[..., 2], arr[..., 3]
-
-    def p_ab(x, y):
-        return 1.0 - q_single_a(p, x) - q_single_b(p, y) + q_joint(p, x, y)
-
-    value = (
-        p_ab(a, b)
-        - p_ab(a, bp)
-        + p_ab(ap, b)
-        + p_ab(ap, bp)
-        - (1.0 - q_single_a(p, ap))
-        - (1.0 - q_single_b(p, b))
-    )
-    if np.ndim(value) == 0:
-        return float(value)
-    return np.asarray(value, dtype=float)
-
-
 def _pow_over_factorial(s: float, n: int) -> float:
     """s**n / n! for s >= 0, in log space for large n."""
     if n <= 20:
@@ -408,7 +373,8 @@ def ch_reduced_settings(p, s: float) -> np.ndarray:
 
     For even N the sign flip alone cancels in alpha^N - beta'^N, so beta'
     must carry the phase pi/N instead; beta'^N = -alpha^N then holds for
-    every N and ch_value reproduces :func:`ch_analytic_reduced` exactly.
+    every N and the ``"ch"`` functional reproduces :func:`ch_analytic_reduced`
+    up to rounding.
     """
     n = photon_number(p)
     s = float(s)
@@ -420,90 +386,3 @@ def ch_reduced_settings(p, s: float) -> np.ndarray:
     else:
         beta_prime = alpha * cmath.exp(1j * math.pi / n)
     return np.array([alpha, 0.0, 0.0, beta_prime], dtype=np.complex128)
-
-
-def chsh_value(p, settings):
-    """CHSH combination of parity correlators, settings ordered
-    (alpha, alpha', beta, beta'):
-
-        Pi(a,b) + Pi(a',b) + Pi(a,b') - Pi(a',b')
-
-    Bounded by |value| <= 2 classically and by 2 sqrt(2) always.
-    """
-    arr = validate_settings(_CATALOG["chsh"], settings)
-    a, ap = arr[..., 0], arr[..., 1]
-    b, bp = arr[..., 2], arr[..., 3]
-    value = (
-        parity_corr(p, a, b)
-        + parity_corr(p, ap, b)
-        + parity_corr(p, a, bp)
-        - parity_corr(p, ap, bp)
-    )
-    if np.ndim(value) == 0:
-        return float(value)
-    return np.asarray(value, dtype=float)
-
-
-def bell_wigner_values(p, settings):
-    """The two three-event Bell-Wigner combinations on click probabilities,
-    settings ordered (i, j, k):
-
-        (p_i - p_ij - p_ik + p_jk,  p_i + p_j + p_k - p_ij - p_ik - p_jk)
-
-    classically bounded below by 0 and above by 1 respectively.  Joint
-    probabilities are always the two-party quantity, even for coincident
-    settings (P_ab(x, x) = 1 - 2 Q(x), not P(x)).
-    """
-    arr = validate_settings(_CATALOG["bw1"], settings)
-    si, sj, sk = arr[..., 0], arr[..., 1], arr[..., 2]
-
-    def p_single(x):
-        return 1.0 - q_single_a(p, x)
-
-    def p_ab(x, y):
-        return 1.0 - q_single_a(p, x) - q_single_b(p, y) + q_joint(p, x, y)
-
-    first = p_single(si) - p_ab(si, sj) - p_ab(si, sk) + p_ab(sj, sk)
-    second = (
-        p_single(si)
-        + p_single(sj)
-        + p_single(sk)
-        - p_ab(si, sj)
-        - p_ab(si, sk)
-        - p_ab(sj, sk)
-    )
-    if np.ndim(first) == 0:
-        return float(first), float(second)
-    return np.asarray(first, dtype=float), np.asarray(second, dtype=float)
-
-
-def j_value(which: int, p, settings):
-    """Six-event combinations over no-click probabilities, settings ordered
-    (alpha, beta, gamma, delta); violation conditions are
-    j1 > 1, j2 > 3, j3 < 0, j4 > 1."""
-    if which not in (1, 2, 3, 4):
-        raise ValueError(f"which must be 1, 2, 3 or 4, got {which!r}")
-    arr = validate_settings(_CATALOG[f"j{which}"], settings)
-    a, b, g, d = (arr[..., i] for i in range(4))
-    q = lambda x: q_single_a(p, x)
-    qq = lambda x, y: q_joint(p, x, y)
-    if which == 1:
-        value = (
-            q(a) + q(b) + q(g) + q(d)
-            - qq(a, b) - qq(a, g) - qq(a, d) - qq(b, g) - qq(b, d) - qq(g, d)
-        )
-    elif which == 2:
-        value = (
-            2.0 * (q(a) + q(b) + q(g) + q(d))
-            - qq(a, b) - qq(a, g) - qq(a, d) - qq(b, g) - qq(b, d) - qq(g, d)
-        )
-    elif which == 3:
-        value = q(a) - qq(a, b) - qq(a, g) - qq(a, d) + qq(b, g) + qq(b, d) + qq(g, d)
-    else:
-        value = (
-            q(a) + q(b) + q(g) - 2.0 * q(d)
-            - qq(a, b) - qq(a, g) + qq(a, d) - qq(b, g) + qq(b, d) + qq(g, d)
-        )
-    if np.ndim(value) == 0:
-        return float(value)
-    return np.asarray(value, dtype=float)

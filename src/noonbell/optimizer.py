@@ -8,16 +8,16 @@ combinations saturate as amplitudes grow) where gradients vanish.
 
 Determinism: the grid is fixed, random start k depends only on (seed, k),
 ties are broken by the lexicographically smallest settings vector, and the
-merge is a total order -- so results are bit-identical for a given seed,
-independent of thread count, and doubling ``num_starts`` never worsens the
-reported value.
+merge is a total order -- so results are bit-identical for a given seed, and
+doubling ``num_starts`` never worsens the reported value.  The descents run
+one after another: the objective is python code, so threads would only
+contend for the interpreter lock.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from io import StringIO
 
@@ -62,7 +62,6 @@ class OptimizerConfig:
     # Joint phase rotation of all settings leaves every functional invariant,
     # so the first setting can be held real; disable to validate.
     fix_global_phase: bool = True
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.num_starts < 1:
@@ -77,8 +76,6 @@ class OptimizerConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be unsigned")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -252,15 +249,7 @@ def optimize(functional: BellFunctional, p, cfg: OptimizerConfig | None = None) 
         for j in range(cfg.num_starts - len(starts))
     ]
 
-    def run(x0):
-        return _polish(objective, x0, bounds, cfg)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            polished = list(pool.map(run, starts))
-    else:
-        polished = [run(x0) for x0 in starts]
-
+    polished = [_polish(objective, x0, bounds, cfg) for x0 in starts]
     starts_converged = sum(1 for _, ok in polished if ok)
 
     # The raw grid candidates stay in the pool so a plateau witness sitting

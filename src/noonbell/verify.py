@@ -59,6 +59,7 @@ def _laguerre_reference() -> CheckResult:
 
 
 def _ch_witness() -> CheckResult:
+    ch = inequalities.catalog()["ch"]
     worst_margin = -math.inf  # must stay strictly negative on the open interval
     worst_mismatch = 0.0
     grid = np.linspace(0.0, math.log(2.0), 52)[1:-1]
@@ -66,7 +67,8 @@ def _ch_witness() -> CheckResult:
         for s in grid:
             margin = inequalities.ch_analytic_reduced_margin(n, float(s))
             reduced = inequalities.ch_analytic_reduced(n, float(s))
-            full = inequalities.ch_value(n, inequalities.ch_reduced_settings(n, float(s)))
+            settings = inequalities.ch_reduced_settings(n, float(s))
+            full = inequalities.evaluate_functional(ch, n, settings)
             worst_margin = max(worst_margin, margin)
             worst_mismatch = max(worst_mismatch, abs(full - reduced))
     observed = max(worst_mismatch, 0.0 if worst_margin < 0.0 else 1.0)
@@ -152,10 +154,11 @@ def _swap_unitary() -> CheckResult:
 
 
 def _j2_witness() -> CheckResult:
+    j2 = inequalities.catalog()["j2"]
     worst = 0.0
     zeros = np.zeros(4, dtype=complex)
     for n in range(1, 11):
-        worst = max(worst, abs(inequalities.j_value(2, n, zeros) - 4.0))
+        worst = max(worst, abs(inequalities.evaluate_functional(j2, n, zeros) - 4.0))
     return _check("j2-all-zero-witness", 1e-12, worst, "value 4 at the all-zero settings, N = 1..10")
 
 
@@ -164,7 +167,7 @@ def _j4_limit() -> CheckResult:
     limit = inequalities.functional_limit(
         j4, 1, np.zeros(4, dtype=complex), [False, False, False, True]
     )
-    direct = inequalities.j_value(4, 1, [0.0, 0.0, 0.0, 6.0])
+    direct = inequalities.evaluate_functional(j4, 1, [0.0, 0.0, 0.0, 6.0])
     observed = max(abs(limit - 1.5), abs(direct - 1.5) - 1e-12)
     return _check(
         "j4-large-amplitude-limit",
@@ -194,12 +197,12 @@ def _parity_bounds() -> CheckResult:
 
 
 def _chsh_quantum_bound() -> CheckResult:
+    chsh = inequalities.catalog()["chsh"]
     rng = np.random.default_rng(29)
     settings = _random_amplitudes(rng, 4 * 200, 2.0).reshape(200, 4)
-    values = inequalities.chsh_value(1, settings)
-    worst = float(np.max(np.abs(values))) - 2.0 * math.sqrt(2.0)
-    for n in (2, 3):
-        values = inequalities.chsh_value(n, settings)
+    worst = -math.inf
+    for n in (1, 2, 3):
+        values = inequalities.evaluate_functional(chsh, n, settings)
         worst = max(worst, float(np.max(np.abs(values))) - 2.0 * math.sqrt(2.0))
     return _check("chsh-quantum-bound", 1e-9, max(worst, 0.0), "|value| <= 2 sqrt(2) on random settings")
 

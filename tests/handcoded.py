@@ -1,0 +1,125 @@
+"""Hand-coded Bell combinations: the test oracle for the generic evaluator.
+
+Each function spells out one catalog functional term by term, straight from
+its defining formula, so ``evaluate_functional`` (which reads the terms from
+the catalog data) can be checked against an independent transcription.
+Settings arrays broadcast like the library's, with settings in the last axis.
+"""
+
+import numpy as np
+
+from noonbell import catalog, parity_corr, q_joint, q_single_a, validate_settings
+
+_CATALOG = catalog()
+
+
+def _scalar_or_array(value):
+    if np.ndim(value) == 0:
+        return float(value)
+    return np.asarray(value, dtype=float)
+
+
+def _p_ab(p, x, y):
+    """Joint click probability 1 - Q_a - Q_b + Q_ab."""
+    return 1.0 - q_single_a(p, x) - q_single_a(p, y) + q_joint(p, x, y)
+
+
+def ch_value(p, settings):
+    """Clauser-Horne combination on click probabilities, settings ordered
+    (alpha, alpha', beta, beta'):
+
+        P_ab(a,b) - P_ab(a,b') + P_ab(a',b) + P_ab(a',b') - P_a(a') - P_b(b)
+
+    Classically bounded to [-1, 0]; < -1 is the violation reported here
+    (> 0 would break the band as well but does not occur for these states).
+    """
+    arr = validate_settings(_CATALOG["ch"], settings)
+    a, ap = arr[..., 0], arr[..., 1]
+    b, bp = arr[..., 2], arr[..., 3]
+    value = (
+        _p_ab(p, a, b)
+        - _p_ab(p, a, bp)
+        + _p_ab(p, ap, b)
+        + _p_ab(p, ap, bp)
+        - (1.0 - q_single_a(p, ap))
+        - (1.0 - q_single_a(p, b))
+    )
+    return _scalar_or_array(value)
+
+
+def chsh_value(p, settings):
+    """CHSH combination of parity correlators, settings ordered
+    (alpha, alpha', beta, beta'):
+
+        Pi(a,b) + Pi(a',b) + Pi(a,b') - Pi(a',b')
+
+    Bounded by |value| <= 2 classically and by 2 sqrt(2) always.
+    """
+    arr = validate_settings(_CATALOG["chsh"], settings)
+    a, ap = arr[..., 0], arr[..., 1]
+    b, bp = arr[..., 2], arr[..., 3]
+    value = (
+        parity_corr(p, a, b)
+        + parity_corr(p, ap, b)
+        + parity_corr(p, a, bp)
+        - parity_corr(p, ap, bp)
+    )
+    return _scalar_or_array(value)
+
+
+def bell_wigner_values(p, settings):
+    """The two three-event Bell-Wigner combinations on click probabilities,
+    settings ordered (i, j, k):
+
+        (p_i - p_ij - p_ik + p_jk,  p_i + p_j + p_k - p_ij - p_ik - p_jk)
+
+    classically bounded below by 0 and above by 1 respectively.  Joint
+    probabilities are always the two-party quantity, even for coincident
+    settings (P_ab(x, x) = 1 - 2 Q(x), not P(x)).
+    """
+    arr = validate_settings(_CATALOG["bw1"], settings)
+    si, sj, sk = arr[..., 0], arr[..., 1], arr[..., 2]
+
+    def p_single(x):
+        return 1.0 - q_single_a(p, x)
+
+    first = p_single(si) - _p_ab(p, si, sj) - _p_ab(p, si, sk) + _p_ab(p, sj, sk)
+    second = (
+        p_single(si)
+        + p_single(sj)
+        + p_single(sk)
+        - _p_ab(p, si, sj)
+        - _p_ab(p, si, sk)
+        - _p_ab(p, sj, sk)
+    )
+    return _scalar_or_array(first), _scalar_or_array(second)
+
+
+def j_value(which: int, p, settings):
+    """Six-event combinations over no-click probabilities, settings ordered
+    (alpha, beta, gamma, delta); violation conditions are
+    j1 > 1, j2 > 3, j3 < 0, j4 > 1."""
+    if which not in (1, 2, 3, 4):
+        raise ValueError(f"which must be 1, 2, 3 or 4, got {which!r}")
+    arr = validate_settings(_CATALOG[f"j{which}"], settings)
+    a, b, g, d = (arr[..., i] for i in range(4))
+    q = lambda x: q_single_a(p, x)
+    qq = lambda x, y: q_joint(p, x, y)
+    if which == 1:
+        value = (
+            q(a) + q(b) + q(g) + q(d)
+            - qq(a, b) - qq(a, g) - qq(a, d) - qq(b, g) - qq(b, d) - qq(g, d)
+        )
+    elif which == 2:
+        value = (
+            2.0 * (q(a) + q(b) + q(g) + q(d))
+            - qq(a, b) - qq(a, g) - qq(a, d) - qq(b, g) - qq(b, d) - qq(g, d)
+        )
+    elif which == 3:
+        value = q(a) - qq(a, b) - qq(a, g) - qq(a, d) + qq(b, g) + qq(b, d) + qq(g, d)
+    else:
+        value = (
+            q(a) + q(b) + q(g) - 2.0 * q(d)
+            - qq(a, b) - qq(a, g) + qq(a, d) - qq(b, g) + qq(b, d) + qq(g, d)
+        )
+    return _scalar_or_array(value)

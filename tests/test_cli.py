@@ -2,11 +2,13 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from noonbell import cli
+from handcoded import bell_wigner_values
+from noonbell import cli, correlators
 
 
 def run_cli(argv, capsys):
@@ -74,6 +76,41 @@ class TestEval:
         assert code == 0
         values = [float(tok) for tok in out.split()]
         assert values == [0.5, 0.5, 0.0]
+
+    @pytest.mark.parametrize("n", [1, 2, 25])
+    @pytest.mark.parametrize("target,index", [("bw1", 0), ("bw2", 1)])
+    def test_bell_wigner_matches_hand_coded(self, capsys, target, index, n):
+        code, out, _ = run_cli(
+            ["eval", target, "--n", str(n), "--settings", "0.3+0.2i,-0.5+0.1i,0.9-0.4i"], capsys
+        )
+        assert code == 0
+        expected = bell_wigner_values(n, [0.3 + 0.2j, -0.5 + 0.1j, 0.9 - 0.4j])[index]
+        assert out == repr(expected) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_q_single_b_is_q_single_a(self, capsys, fmt):
+        argv = ["--n", "3", "--settings", "0.7-0.2i", "--format", fmt]
+        code_a, out_a, _ = run_cli(["eval", "q-single-a", *argv], capsys)
+        code_b, out_b, _ = run_cli(["eval", "q-single-b", *argv], capsys)
+        assert code_a == code_b == 0
+        assert out_b == out_a
+        assert out_b.splitlines()[-1] == repr(float(correlators.q_single_a(3, 0.7 - 0.2j)))
+
+    def test_manifest_duration_includes_evaluation(self, tmp_path, capsys, monkeypatch):
+        real_q_joint = correlators.q_joint
+
+        def slow_q_joint(*args):
+            time.sleep(0.05)
+            return real_q_joint(*args)
+
+        monkeypatch.setattr(correlators, "q_joint", slow_q_joint)
+        out = tmp_path / "v.txt"
+        code, _, _ = run_cli(
+            ["eval", "q-joint", "--n", "1", "--settings", "1,-1", "--out", str(out)], capsys
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "v.txt.manifest.json").read_text())
+        assert manifest["duration_seconds"] >= 0.05
 
 
 class TestOptimize:
@@ -200,6 +237,14 @@ class TestMarginal:
         assert code == 2
         assert "count" in err
 
+    @pytest.mark.parametrize("key,value", [("count", "lots"), ("range", "wide")])
+    def test_bad_config_value_exit_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, _, err = run_cli(["marginal", "w", "--n", "1", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("noonbell: error:") and key in err
+
 
 class TestVerify:
     def test_quick_passes(self, capsys):
@@ -279,6 +324,47 @@ class TestConfigPrecedence:
         monkeypatch.setenv(cli.ENV_THREADS, "lots")
         code, _, err = run_cli(["optimize", "j1", "--n", "1", "--starts", "4"], capsys)
         assert code == 2
+
+
+class TestThreads:
+    """The thread count is accepted for compatibility and has no effect, but
+    a value that is not an integer >= 1 is a usage error wherever it comes
+    from."""
+
+    EVAL = ["eval", "q-joint", "--n", "1", "--settings", "1,-1"]
+    OPTIMIZE = ["optimize", "j1", "--n", "1", "--starts", "4"]
+
+    @pytest.mark.parametrize("argv", [EVAL, OPTIMIZE], ids=["eval", "optimize"])
+    def test_zero_flag_exit_2(self, capsys, argv):
+        code, out, err = run_cli([*argv, "--threads", "0"], capsys)
+        assert code == 2
+        assert out == "" and "threads" in err
+
+    def test_non_integer_flag_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*self.EVAL, "--threads", "two"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("env", ["0", "lots"])
+    def test_bad_env_exit_2(self, capsys, monkeypatch, env):
+        monkeypatch.setenv(cli.ENV_THREADS, env)
+        code, _, _ = run_cli(self.EVAL, capsys)
+        assert code == 2
+
+    @pytest.mark.parametrize("value", [0, "lots", 2.5, True, None])
+    def test_bad_config_value_exit_2(self, tmp_path, capsys, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"threads": value}))
+        for argv in (self.EVAL, ["marginal", "q", "--n", "1", "--count", "16"]):
+            code, _, err = run_cli([*argv, "--config", str(cfg)], capsys)
+            assert code == 2
+            assert "threads" in err
+
+    def test_valid_value_changes_nothing(self, capsys):
+        _, plain, _ = run_cli(self.EVAL, capsys)
+        code, threaded, _ = run_cli([*self.EVAL, "--threads", "3"], capsys)
+        assert code == 0
+        assert threaded == plain
 
 
 class TestCatalogCommand:

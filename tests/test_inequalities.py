@@ -4,19 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from handcoded import bell_wigner_values, ch_value, chsh_value, j_value
 from noonbell import (
-    bell_wigner_values,
     catalog,
     catalog_json,
     ch_analytic_reduced,
     ch_analytic_reduced_margin,
     ch_reduced_settings,
-    ch_value,
-    chsh_value,
     click_probabilities,
     evaluate_functional,
     functional_limit,
-    j_value,
     parity_corr,
     q_single_a,
     validate_settings,

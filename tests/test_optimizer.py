@@ -34,7 +34,6 @@ class TestConfigValidation:
             dict(max_iterations=0),
             dict(rng_seed=-1),
             dict(coarse_grid_points_per_axis=1),
-            dict(threads=0),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -71,11 +70,6 @@ class TestOptimize:
         b = optimize(CAT["ch"], 2, OptimizerConfig(rng_seed=42, **FAST))
         assert result_to_json(a) == result_to_json(b)
         assert np.array_equal(a.best_settings, b.best_settings)
-
-    def test_thread_count_does_not_change_result(self):
-        a = optimize(CAT["j3"], 1, OptimizerConfig(rng_seed=5, threads=1, **FAST))
-        b = optimize(CAT["j3"], 1, OptimizerConfig(rng_seed=5, threads=4, **FAST))
-        assert result_to_json(a) == result_to_json(b)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_monotone_refinement(self, seed):
