@@ -5,22 +5,23 @@ outputs (JSON/CSV) are byte-deterministic for a fixed seed; every run that
 writes files also writes a ``<out>.manifest.json`` listing the command, the
 fully resolved parameters, and the produced files, so the run can be replayed.
 
-Complex amplitudes on the command line use the single-token form ``a+bi``
-(e.g. ``1+0i``, ``-0.5i``, ``2``).  Configuration precedence is built-in
-defaults < JSON config file (``--config``) < command-line flags.
+Each subcommand declares only the options its handler reads.  Complex
+amplitudes on the command line use the single-token form ``a+bi`` (e.g.
+``1+0i``, ``-0.5i``, ``2``).  Configuration precedence is built-in defaults <
+JSON config file (``--config``) < command-line flags; a subcommand ignores
+the config keys it has no option for.
 
-``--threads``, the ``NOONBELL_THREADS`` environment variable (its fallback)
-and the ``threads`` config key are accepted for compatibility and have no
-effect: the search runs on one thread.  A value that is not an integer >= 1
-is still a usage error.
+``--threads`` is accepted for compatibility and has no effect: the search
+runs on one thread.  A value that is not an integer >= 1 is still a usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -38,9 +39,8 @@ from noonbell.optimizer import (
     sweep_to_csv,
 )
 
-ENV_THREADS = "NOONBELL_THREADS"
-
-_CONFIG_KEYS = ("seed", "starts", "radius", "grid", "range", "count", "threads", "format")
+_ALL_FORMATS = ("json", "csv", "text")
+_CONFIG_KEYS = ("seed", "starts", "radius", "grid", "range", "count", "format")
 
 
 class CliError(Exception):
@@ -95,16 +95,7 @@ def _resolve(args, config: dict, key: str, builtin):
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    if key == "threads":
-        env = os.environ.get(ENV_THREADS)
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError:
-                raise CliError(f"{ENV_THREADS} must be an integer, got {env!r}") from None
-    if key in config:
-        return config[key]
-    return builtin
+    return config.get(key, builtin)
 
 
 def _resolve_number(args, config: dict, key: str, builtin, kind):
@@ -118,12 +109,19 @@ def _resolve_number(args, config: dict, key: str, builtin, kind):
         raise CliError(f"{key} must be {what}, got {value!r}") from None
 
 
-def _check_threads(args, config: dict) -> None:
-    """Validate the thread count from flag, environment or config; the value
-    itself is not used."""
-    value = _resolve(args, config, "threads", 1)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise CliError(f"threads must be an integer >= 1, got {value!r}")
+def _resolve_format(args, config: dict, builtin: str) -> str:
+    """The output format; the flag's choices bind a config value too."""
+    fmt = _resolve(args, config, "format", builtin)
+    if fmt not in args.formats:
+        raise CliError(f"format must be one of {', '.join(args.formats)}, got {fmt!r}")
+    return fmt
+
+
+def _functional(name: str) -> inequalities.BellFunctional:
+    cat = inequalities.catalog()
+    if name not in cat:
+        raise CliError(f"unknown functional {name!r}; known: {', '.join(sorted(cat))}")
+    return cat[name]
 
 
 def _optimizer_config(args, config: dict) -> OptimizerConfig:
@@ -138,10 +136,29 @@ def _optimizer_config(args, config: dict) -> OptimizerConfig:
         raise CliError(str(exc)) from None
 
 
-def _write_outputs(command: str, parameters: dict, payloads: dict[str, str], started: float) -> None:
-    """Write payload files plus the run manifest next to the primary output."""
-    for path, text in payloads.items():
-        Path(path).write_text(text, encoding="utf-8")
+def _search_params(args, cfg: OptimizerConfig) -> dict:
+    """Manifest parameters shared by optimize and sweep."""
+    return {
+        "functional": args.functional,
+        "n": args.n,
+        "seed": cfg.rng_seed,
+        "starts": cfg.num_starts,
+        "radius": cfg.search_radius,
+        "grid": cfg.coarse_grid_points_per_axis,
+        "out": args.out,
+    }
+
+
+def _emit(args, command: str, parameters: dict, text: str, started: float, svg=None) -> None:
+    """Write the payload to ``--out`` (else stdout) and ``svg`` to ``--svg``,
+    plus the run manifest next to the first file written."""
+    payloads = {path: body for path, body in ((args.out, text), (svg and args.svg, svg)) if path}
+    if not args.out:
+        sys.stdout.write(text)
+    if not payloads:
+        return
+    for path, body in payloads.items():
+        Path(path).write_text(body, encoding="utf-8")
     primary = next(iter(payloads))
     manifest = {
         "command": command,
@@ -189,73 +206,44 @@ def cmd_eval(args, config: dict) -> int:
             f"unknown target {args.target!r}; known: {', '.join(sorted(registry))}"
         )
     arity, func = registry[args.target]
-    if args.settings is None:
-        raise CliError("--settings is required for eval")
     settings = parse_settings(args.settings)
     if len(settings) != arity:
         raise CliError(f"{args.target} takes {arity} settings, got {len(settings)}")
-    if args.n is None:
-        raise CliError("--n is required for eval")
-    try:
-        n = int(args.n)
-    except ValueError:
-        raise CliError(f"--n must be an integer, got {args.n!r}") from None
+    fmt = _resolve_format(args, config, "text")
     started = time.monotonic()
     try:
-        value = func(n, settings)
+        value = func(args.n, settings)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    fmt = _resolve(args, config, "format", "text")
+    values = value if isinstance(value, list) else [value]
     if fmt == "json":
         doc = {
             "target": args.target,
-            "n": n,
+            "n": args.n,
             "settings": [format_amplitude(z) for z in settings],
             "value": value,
         }
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
-        if isinstance(value, list):
-            text = "P_a,P_b,P_ab\n" + ",".join(repr(v) for v in value) + "\n"
-        else:
-            text = "value\n" + repr(value) + "\n"
+        header = "P_a,P_b,P_ab" if isinstance(value, list) else "value"
+        text = header + "\n" + ",".join(map(repr, values)) + "\n"
     else:
-        if isinstance(value, list):
-            text = "\n".join(repr(v) for v in value) + "\n"
-        else:
-            text = repr(value) + "\n"
-    if args.out:
-        _write_outputs(
-            "eval",
-            {
-                "target": args.target,
-                "n": n,
-                "settings": args.settings,
-                "format": fmt,
-                "out": args.out,
-                "seed": None,
-            },
-            {args.out: text},
-            started,
-        )
-    else:
-        sys.stdout.write(text)
+        text = "\n".join(map(repr, values)) + "\n"
+    params = {"target": args.target, "n": args.n, "settings": args.settings, "format": fmt,
+              "out": args.out, "seed": None}
+    _emit(args, "eval", params, text, started)
     return 0
 
 
 def cmd_optimize(args, config: dict) -> int:
-    cat = inequalities.catalog()
-    if args.functional not in cat:
-        raise CliError(f"unknown functional {args.functional!r}; known: {', '.join(sorted(cat))}")
-    if args.n is None:
-        raise CliError("--n is required for optimize")
+    functional = _functional(args.functional)
     cfg = _optimizer_config(args, config)
+    fmt = _resolve_format(args, config, "json")
     started = time.monotonic()
     try:
-        result = optimize(cat[args.functional], int(args.n), cfg)
+        result = optimize(functional, args.n, cfg)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    fmt = _resolve(args, config, "format", "json")
     if fmt == "text":
         lines = [
             f"functional       {result.functional_name}",
@@ -274,120 +262,65 @@ def cmd_optimize(args, config: dict) -> int:
         text = sweep_to_csv([result])
     else:
         text = result_to_json(result) + "\n"
-    params = {
-        "functional": args.functional,
-        "n": int(args.n),
-        "seed": cfg.rng_seed,
-        "starts": cfg.num_starts,
-        "radius": cfg.search_radius,
-        "grid": cfg.coarse_grid_points_per_axis,
-        "format": fmt,
-        "out": args.out,
-    }
-    if args.out:
-        _write_outputs("optimize", params, {args.out: text}, started)
-    else:
-        sys.stdout.write(text)
+    _emit(args, "optimize", {**_search_params(args, cfg), "format": fmt}, text, started)
     return 0 if result.starts_converged > 0 else 3
 
 
 def cmd_sweep(args, config: dict) -> int:
-    cat = inequalities.catalog()
-    if args.functional not in cat:
-        raise CliError(f"unknown functional {args.functional!r}; known: {', '.join(sorted(cat))}")
-    if args.n is None:
-        raise CliError("--n is required for sweep (e.g. --n 4 or --n 2:6)")
+    functional = _functional(args.functional)
     n_min, n_max = _parse_n_range(args.n)
-    if not 1 <= n_min <= n_max:
-        raise CliError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
     cfg = _optimizer_config(args, config)
     started = time.monotonic()
-    results = sweep_n(cat[args.functional], n_min, n_max, cfg)
-    csv_text = sweep_to_csv(results)
-    payloads = {}
-    if args.out:
-        payloads[args.out] = csv_text
-    if args.svg:
-        ns = [r.n for r in results]
-        margins = [r.violation_margin for r in results]
-        payloads[args.svg] = svgplot.line_plot_svg(
-            ns,
-            margins,
-            title=f"{args.functional}: violation margin vs photon number",
-            x_label="photon number N",
-            y_label="violation margin",
-            hline=0.0,
-        )
-    params = {
-        "functional": args.functional,
-        "n": args.n,
-        "seed": cfg.rng_seed,
-        "starts": cfg.num_starts,
-        "radius": cfg.search_radius,
-        "grid": cfg.coarse_grid_points_per_axis,
-        "out": args.out,
-        "svg": args.svg,
-    }
-    if payloads:
-        _write_outputs("sweep", params, payloads, started)
-    if not args.out:
-        sys.stdout.write(csv_text)
+    try:
+        results = sweep_n(functional, n_min, n_max, cfg)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    svg = args.svg and svgplot.line_plot_svg(
+        [r.n for r in results],
+        [r.violation_margin for r in results],
+        title=f"{args.functional}: violation margin vs photon number",
+        x_label="photon number N",
+        y_label="violation margin",
+        hline=0.0,
+    )
+    params = {**_search_params(args, cfg), "svg": args.svg}
+    _emit(args, "sweep", params, sweep_to_csv(results), started, svg)
     return 0
 
 
 def cmd_marginal(args, config: dict) -> int:
-    kind = {"q": "q-marginal", "w": "w-marginal"}.get(args.kind, args.kind)
-    if args.n is None:
-        raise CliError("--n is required for marginal")
     range_ = _resolve_number(args, config, "range", 3.0, float)
     count = _resolve_number(args, config, "count", 64, int)
     started = time.monotonic()
     try:
-        grid = marginals.density_grid(kind, int(args.n), range_, count)
+        grid = marginals.density_grid(args.kind, args.n, range_, count)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    csv_text = marginals.grid_to_csv(grid)
-    payloads = {}
-    if args.out:
-        payloads[args.out] = csv_text
-    if args.svg:
-        payloads[args.svg] = svgplot.heatmap_svg(
-            grid.values,
-            grid.y_min,
-            grid.y_max,
-            title=f"{kind}, N = {grid.n}",
-            diverging=kind == "w-marginal",
-        )
+    svg = args.svg and svgplot.heatmap_svg(
+        grid.values,
+        grid.y_min,
+        grid.y_max,
+        title=f"{grid.kind}, N = {grid.n}",
+        diverging=grid.kind == "w-marginal",
+    )
     params = {
-        "kind": kind,
-        "n": int(args.n),
+        "kind": grid.kind,
+        "n": grid.n,
         "range": range_,
         "count": count,
         "out": args.out,
         "svg": args.svg,
         "seed": None,
     }
-    if payloads:
-        _write_outputs("marginal", params, payloads, started)
-    if not args.out:
-        sys.stdout.write(csv_text)
+    _emit(args, "marginal", params, marginals.grid_to_csv(grid), started, svg)
     return 0
 
 
 def cmd_verify(args, config: dict) -> int:
+    fmt = _resolve_format(args, config, "text")
     checks = verify.run_checks(args.level)
-    fmt = _resolve(args, config, "format", "text")
     if fmt == "json":
-        doc = [
-            {
-                "name": c.name,
-                "tolerance": c.tolerance,
-                "observed": c.observed,
-                "passed": c.passed,
-                "detail": c.detail,
-            }
-            for c in checks
-        ]
+        doc = [dataclasses.asdict(c) for c in checks]
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return 0 if all(c.passed for c in checks) else 1
     width = max(len(c.name) for c in checks)
@@ -418,52 +351,60 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"noonbell {noonbell.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seedful=True):
-        p.add_argument("--n", help="photon number (sweep accepts a:b or a plain upper bound)")
+    def subcommand(name, func, help, formats=None, n=True):
+        """A subparser with --config and --threads, plus an integer --n and a
+        --format with these choices where asked for."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, formats=formats)
+        if n:
+            p.add_argument("--n", type=int, required=True, help="photon number")
         p.add_argument("--config", help="JSON config file (defaults < config < flags)")
-        p.add_argument("--format", choices=("json", "csv", "text"), default=None)
+        if formats:
+            p.add_argument("--format", choices=formats)
+        p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
+        return p
+
+    def outputs(p, svg=None):
         p.add_argument("--out", help="write the payload to this file (plus a manifest)")
-        p.add_argument(
-            "--threads", type=int, default=None, help="accepted for compatibility; no effect"
-        )
-        if seedful:
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--starts", type=int, default=None)
-            p.add_argument("--radius", type=float, default=None)
-            p.add_argument("--grid", type=int, default=None)
+        if svg:
+            p.add_argument("--svg", help=svg)
 
-    p_eval = sub.add_parser("eval", help="evaluate a correlator or functional at given settings")
+    def search(p):
+        p.add_argument("functional")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--starts", type=int)
+        p.add_argument("--radius", type=float)
+        p.add_argument("--grid", type=int)
+
+    p_eval = subcommand("eval", cmd_eval, "evaluate a correlator or functional at given settings",
+                        _ALL_FORMATS)
     p_eval.add_argument("target")
-    p_eval.add_argument("--settings", help="comma-separated a+bi amplitudes")
-    common(p_eval, seedful=False)
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.add_argument("--settings", required=True, help="comma-separated a+bi amplitudes")
+    outputs(p_eval)
 
-    p_opt = sub.add_parser("optimize", help="maximize a functional's violation")
-    p_opt.add_argument("functional")
-    common(p_opt)
-    p_opt.set_defaults(func=cmd_optimize)
+    p_opt = subcommand("optimize", cmd_optimize, "maximize a functional's violation", _ALL_FORMATS)
+    search(p_opt)
+    outputs(p_opt)
 
-    p_sweep = sub.add_parser("sweep", help="optimize across a photon-number range; emits CSV")
-    p_sweep.add_argument("functional")
-    p_sweep.add_argument("--svg", help="also write an SVG line plot of margin vs N")
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep = subcommand("sweep", cmd_sweep, "optimize across a photon-number range; emits CSV",
+                         n=False)
+    p_sweep.add_argument("--n", required=True, help="photon-number range a:b, or b for 1:b")
+    search(p_sweep)
+    outputs(p_sweep, svg="also write an SVG line plot of margin vs N")
 
-    p_marg = sub.add_parser("marginal", help="sample a marginal density grid; emits CSV")
+    p_marg = subcommand("marginal", cmd_marginal, "sample a marginal density grid; emits CSV")
     p_marg.add_argument("kind", choices=("q", "w", "q-marginal", "w-marginal"))
-    p_marg.add_argument("--range", type=float, default=None)
-    p_marg.add_argument("--count", type=int, default=None)
-    p_marg.add_argument("--svg", help="also write an SVG heatmap")
-    common(p_marg, seedful=False)
-    p_marg.set_defaults(func=cmd_marginal)
+    p_marg.add_argument("--range", type=float)
+    p_marg.add_argument("--count", type=int)
+    outputs(p_marg, svg="also write an SVG heatmap")
 
-    p_verify = sub.add_parser("verify", help="run the self-check battery")
+    p_verify = subcommand("verify", cmd_verify, "run the self-check battery", ("json", "text"),
+                          n=False)
     p_verify.add_argument("level", nargs="?", default="quick", choices=("quick", "full"))
-    common(p_verify, seedful=False)
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_cat = sub.add_parser("catalog", help="print the functional catalog as JSON")
-    p_cat.set_defaults(func=cmd_catalog)
+    sub.add_parser("catalog", help="print the functional catalog as JSON").set_defaults(
+        func=cmd_catalog
+    )
     return parser
 
 
@@ -471,8 +412,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        threads = getattr(args, "threads", None)
+        if threads is not None and threads < 1:
+            raise CliError(f"threads must be an integer >= 1, got {threads!r}")
         config = _load_config(getattr(args, "config", None))
-        _check_threads(args, config)
         return args.func(args, config)
     except CliError as exc:
         print(f"noonbell: error: {exc}", file=sys.stderr)

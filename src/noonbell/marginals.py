@@ -43,6 +43,10 @@ __all__ = [
 
 DEFAULT_ORDER = 40
 _MIN_GRID_COUNT = 16
+# Each grid row holds count x order^2 complex values, and the whole grid
+# evaluates count^2 x order^2 quadrature points at about 30 ns each.
+_MAX_GRID_COUNT = 1024
+_NS_PER_POINT = 30
 _KINDS = ("q-marginal", "w-marginal")
 
 
@@ -94,20 +98,22 @@ def marginal_w(p, y, v, order: int = DEFAULT_ORDER):
     return _marginal_value("w-marginal", p, y, v, order)
 
 
+def _node_grid(kind: str, p, order: int):
+    """Quadrature nodes y, weights w and the marginal at every node pair,
+    vals[i, j] = marginal(y_i, y_j); the (y, v) integrals reuse the (x, u)
+    rule."""
+    kind = _canonical_kind(kind)
+    y, w = _axis_rule(order, _kind_parts(kind)[1])
+    return y, w, _marginal_value(kind, p, y[:, np.newaxis], y[np.newaxis, :], order)
+
+
 def marginal_integral(kind: str, p, order: int = DEFAULT_ORDER) -> float:
     """Full integral of the marginal over the (y, v) plane (should be 1)."""
-    kind = _canonical_kind(kind)
-    _, rate = _kind_parts(kind)
-    y, w = _axis_rule(order, rate)
-    vals = _marginal_value(kind, p, y[:, np.newaxis], y[np.newaxis, :], order)
-    return float(np.einsum("ij,i,j->", vals, w, w))
+    return _moments(kind, p, order)[0]
 
 
 def _moments(kind: str, p, order: int):
-    kind = _canonical_kind(kind)
-    _, rate = _kind_parts(kind)
-    y, w = _axis_rule(order, rate)
-    vals = _marginal_value(kind, p, y[:, np.newaxis], y[np.newaxis, :], order)
+    y, w, vals = _node_grid(kind, p, order)
     wy = w * (vals @ w)  # mass attached to each y node
     wv = w * (w @ vals)
     total = float(np.sum(wy))
@@ -132,10 +138,7 @@ def factored_l1_distance(kind: str, p, order: int = DEFAULT_ORDER) -> float:
     """L1 distance between the 2-D marginal and the product of its two 1-D
     marginals; bounded away from zero for photon number >= 2 even though the
     linear correlation coefficient vanishes there (nonlinear dependence)."""
-    kind = _canonical_kind(kind)
-    _, rate = _kind_parts(kind)
-    y, w = _axis_rule(order, rate)
-    vals = _marginal_value(kind, p, y[:, np.newaxis], y[np.newaxis, :], order)
+    _, w, vals = _node_grid(kind, p, order)
     my = vals @ w  # 1-D marginal in y, evaluated on the y nodes
     mv = w @ vals
     product = np.outer(my, mv)
@@ -170,10 +173,6 @@ class DensityGrid:
     def y_axis(self) -> np.ndarray:
         return np.linspace(self.y_min, self.y_max, self.count)
 
-    @property
-    def v_axis(self) -> np.ndarray:
-        return np.linspace(self.y_min, self.y_max, self.count)
-
     def trapezoid_mass(self) -> float:
         """Trapezoid integral of the stored values over the grid window."""
         axis = self.y_axis
@@ -186,10 +185,17 @@ def density_grid(kind: str, p, range_: float, count: int, order: int = DEFAULT_O
     axis (rows indexed by y, columns by v)."""
     kind = _canonical_kind(kind)
     n = photon_number(p)
-    if range_ <= 0:
-        raise ValueError("range must be > 0")
+    if not (math.isfinite(range_) and range_ > 0):
+        raise ValueError(f"range must be finite and > 0, got {range_!r}")
     if count < _MIN_GRID_COUNT:
         raise ValueError(f"count must be >= {_MIN_GRID_COUNT}, got {count}")
+    if count > _MAX_GRID_COUNT:
+        points = count * count * order * order
+        raise ValueError(
+            f"count must be <= {_MAX_GRID_COUNT}, got {count}: about "
+            f"{count * order * order * 16 / 1e6:.0f} MB per row array and "
+            f"{points * _NS_PER_POINT * 1e-9:.0f} s for {points:.2e} quadrature points"
+        )
     axis = np.linspace(-range_, range_, count)
     rows = [
         np.asarray(_marginal_value(kind, n, np.full(count, yv), axis, order), dtype=float)

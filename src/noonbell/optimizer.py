@@ -47,6 +47,12 @@ __all__ = [
 
 _GRID_CHUNK = 200_000
 _BOUNDARY_RTOL = 1e-6
+# Nelder-Mead stops when both the simplex's values and its vertices agree
+# to these absolute tolerances.
+_SIMPLEX_FATOL = 1e-9
+_SIMPLEX_XATOL = 1e-6
+# A grid point may beat a certified result by at most this much.
+_CERTIFY_SLACK = 1e-3
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,6 @@ class OptimizerConfig:
     num_starts: int = 64
     search_radius: float = 5.0
     coarse_grid_points_per_axis: int = 7
-    simplex_tolerance: float = 1e-9
     max_iterations: int = 20_000
     rng_seed: int = 0
     # Joint phase rotation of all settings leaves every functional invariant,
@@ -66,12 +71,10 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.num_starts < 1:
             raise ValueError("num_starts must be >= 1")
-        if self.search_radius <= 0:
-            raise ValueError("search_radius must be > 0")
+        if not (math.isfinite(self.search_radius) and self.search_radius > 0):
+            raise ValueError(f"search_radius must be finite and > 0, got {self.search_radius!r}")
         if self.coarse_grid_points_per_axis < 2:
             raise ValueError("coarse_grid_points_per_axis must be >= 2")
-        if self.simplex_tolerance <= 0:
-            raise ValueError("simplex_tolerance must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.rng_seed < 0:
@@ -217,8 +220,8 @@ def _polish(objective, x0, bounds, cfg: OptimizerConfig):
         options={
             "maxiter": cfg.max_iterations,
             "maxfev": cfg.max_iterations,
-            "fatol": cfg.simplex_tolerance,
-            "xatol": 1e-6,
+            "fatol": _SIMPLEX_FATOL,
+            "xatol": _SIMPLEX_XATOL,
         },
     )
     return res.x, bool(res.success)
@@ -310,19 +313,17 @@ def certify_with_grid(
     p,
     result: OptimizationResult,
     grid_points: int,
-    slack: float = 1e-3,
-    fix_global_phase: bool = True,
 ) -> CertificationReport:
-    """Exhaustively evaluate a fresh coarse grid and report how far the
-    optimization result dominates its best point."""
+    """Exhaustively evaluate a fresh coarse grid (first setting held real) and
+    report how far the optimization result dominates its best point."""
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     sign = _direction_sign(functional)
-    dims = _dims(functional.num_settings, fix_global_phase)
+    dims = _dims(functional.num_settings, True)
     axis = np.linspace(-result.search_radius, result.search_radius, grid_points)
     pool = _scan_grid(functional, p, [axis] * dims, sign, 1)
     grid_scored, _, grid_x = pool[0]
-    grid_settings = _unpack(grid_x, functional.num_settings, fix_global_phase)
+    grid_settings = _unpack(grid_x, functional.num_settings, True)
     gap = sign * result.best_value - grid_scored
     return CertificationReport(
         functional_name=functional.name,
@@ -332,8 +333,8 @@ def certify_with_grid(
         grid_best_settings=grid_settings,
         result_value=result.best_value,
         gap=float(gap),
-        slack=slack,
-        passed=bool(gap >= -slack),
+        slack=_CERTIFY_SLACK,
+        passed=bool(gap >= -_CERTIFY_SLACK),
     )
 
 

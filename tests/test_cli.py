@@ -1,8 +1,11 @@
+import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,33 +306,80 @@ class TestConfigPrecedence:
         code, _, err = run_cli(["optimize", "j1", "--n", "1", "--config", str(cfg)], capsys)
         assert code == 2
 
-    def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_THREADS, "2")
-        a = tmp_path / "a.json"
-        code, _, _ = run_cli(
-            ["optimize", "j3", "--n", "1", "--seed", "4", "--starts", "8", "--out", str(a)],
-            capsys,
-        )
-        assert code == 0
-        monkeypatch.setenv(cli.ENV_THREADS, "1")
-        b = tmp_path / "b.json"
-        code, _, _ = run_cli(
-            ["optimize", "j3", "--n", "1", "--seed", "4", "--starts", "8", "--out", str(b)],
-            capsys,
-        )
-        assert code == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_THREADS, "lots")
-        code, _, err = run_cli(["optimize", "j1", "--n", "1", "--starts", "4"], capsys)
+    @pytest.mark.parametrize("argv,fmt", [
+        (["eval", "q-joint", "--n", "1", "--settings", "1,0"], "xml"),
+        (["optimize", "j1", "--n", "1", "--starts", "4"], "xml"),
+        (["verify", "quick"], "csv"),
+    ], ids=["eval", "optimize", "verify"])
+    def test_config_format_outside_choices_exit_2(self, tmp_path, capsys, argv, fmt):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": fmt}))
+        code, out, err = run_cli([*argv, "--config", str(cfg)], capsys)
         assert code == 2
+        assert out == "" and "format" in err
+
+    def test_config_format_ignored_without_format_option(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "json"}))
+        argv = ["marginal", "w", "--n", "1", "--count", "16"]
+        _, plain, _ = run_cli(argv, capsys)
+        code, configured, _ = run_cli([*argv, "--config", str(cfg)], capsys)
+        assert code == 0
+        assert configured == plain and plain.startswith("kind,n,range")
+
+
+class TestDeclaredOptions:
+    """Each subcommand takes only the options its handler reads; argparse
+    rejects the rest, and the required or integer ones, with exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "ch", "--n", "1", "--format", "json"],
+        ["marginal", "w", "--n", "1", "--format", "json"],
+        ["verify", "quick", "--out", "v.json"],
+        ["verify", "quick", "--n", "1"],
+        ["verify", "quick", "--format", "csv"],
+        ["catalog", "--threads", "2"],
+        ["eval", "q-joint", "--settings", "1,0"],
+        ["eval", "q-joint", "--n", "1"],
+        ["eval", "q-joint", "--n", "one", "--settings", "1,0"],
+        ["optimize", "ch"],
+        ["optimize", "ch", "--n", "1.5"],
+        ["sweep", "ch"],
+        ["marginal", "w"],
+    ])
+    def test_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("n", ["3:1", "0:2", "1:x"])
+    def test_bad_sweep_range_exit_2(self, capsys, n):
+        code, out, err = run_cli(["sweep", "ch", "--n", n, "--starts", "1"], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("noonbell: error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["marginal", "w", "--n", "1", "--range", "nan"],
+        ["marginal", "w", "--n", "1", "--range", "inf"],
+        ["optimize", "ch", "--n", "1", "--radius", "inf"],
+        ["optimize", "ch", "--n", "1", "--radius", "nan"],
+    ])
+    def test_non_finite_value_exit_2(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == "" and "finite" in err
+
+    def test_count_above_limit_exit_2(self, capsys):
+        code, out, err = run_cli(["marginal", "w", "--n", "1", "--count", "100000"], capsys)
+        assert code == 2
+        assert out == "" and "count must be <=" in err and "MB" in err
 
 
 class TestThreads:
     """The thread count is accepted for compatibility and has no effect, but
-    a value that is not an integer >= 1 is a usage error wherever it comes
-    from."""
+    a flag value below 1 is a usage error.  The environment and the config
+    file do not set it."""
 
     EVAL = ["eval", "q-joint", "--n", "1", "--settings", "1,-1"]
     OPTIMIZE = ["optimize", "j1", "--n", "1", "--starts", "4"]
@@ -346,25 +396,70 @@ class TestThreads:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("env", ["0", "lots"])
-    def test_bad_env_exit_2(self, capsys, monkeypatch, env):
-        monkeypatch.setenv(cli.ENV_THREADS, env)
-        code, _, _ = run_cli(self.EVAL, capsys)
-        assert code == 2
+    def test_env_is_ignored(self, capsys, monkeypatch, env):
+        _, plain_eval, _ = run_cli(self.EVAL, capsys)
+        _, plain_catalog, _ = run_cli(["catalog"], capsys)
+        monkeypatch.setenv("NOONBELL_THREADS", env)
+        assert run_cli(self.EVAL, capsys)[:2] == (0, plain_eval)
+        assert run_cli(["catalog"], capsys)[:2] == (0, plain_catalog)
 
-    @pytest.mark.parametrize("value", [0, "lots", 2.5, True, None])
+    @pytest.mark.parametrize("value", [0, "lots", 2.5, True, None, 2])
     def test_bad_config_value_exit_2(self, tmp_path, capsys, value):
+        # threads is not a config key, whatever its value
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"threads": value}))
-        for argv in (self.EVAL, ["marginal", "q", "--n", "1", "--count", "16"]):
+        for argv in (
+            self.EVAL,
+            self.OPTIMIZE,
+            ["sweep", "j1", "--n", "1", "--starts", "4"],
+            ["marginal", "q", "--n", "1", "--count", "16"],
+            ["verify"],
+        ):
             code, _, err = run_cli([*argv, "--config", str(cfg)], capsys)
             assert code == 2
-            assert "threads" in err
+            assert "unknown config keys: ['threads']" in err
 
     def test_valid_value_changes_nothing(self, capsys):
         _, plain, _ = run_cli(self.EVAL, capsys)
         code, threaded, _ = run_cli([*self.EVAL, "--threads", "3"], capsys)
         assert code == 0
         assert threaded == plain
+
+
+class TestReadmeFlagTable:
+    """The README's CLI table lists, per subcommand, exactly the flags that
+    build_parser() declares for it (with their choices)."""
+
+    @staticmethod
+    def readme_rows():
+        text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        table = text.split("| subcommand | flags |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+        rows = {}
+        for line in table.splitlines():
+            usage, flags = (cell.strip() for cell in line.strip("|").split("|"))
+            rows[usage.strip("`").split()[0]] = (usage, re.findall(r"`([^`]+)`", flags))
+        return rows
+
+    @staticmethod
+    def subparsers():
+        parser = cli.build_parser()
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_one_row_per_subcommand(self):
+        assert sorted(self.readme_rows()) == sorted(self.subparsers())
+
+    @pytest.mark.parametrize("name", ["eval", "optimize", "sweep", "marginal", "verify", "catalog"])
+    def test_row_matches_parser(self, name):
+        usage, flags = self.readme_rows()[name]
+        declared = []
+        for action in self.subparsers()[name]._actions:
+            choices = "{" + ",".join(action.choices) + "}" if action.choices else None
+            if not action.option_strings:
+                assert choices is None or choices in usage
+            elif action.option_strings[-1] != "--help":
+                declared.append(" ".join(filter(None, (action.option_strings[-1], choices))))
+        assert sorted(flags) == sorted(declared)
 
 
 class TestCatalogCommand:

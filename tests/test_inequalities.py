@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handcoded import bell_wigner_values, ch_value, chsh_value, j_value
 from noonbell import (
@@ -294,3 +296,24 @@ class TestGenericEvaluator:
         pa_, pb_, pab1 = click_probabilities(1, 0.4, 0.0)
         assert value == pytest.approx(ch_value(1, [0.4, 0.0, 0.0, -0.4]), abs=1e-14)
         assert 0.0 <= pab1 <= min(pa_, pb_) + 1e-12
+
+
+class TestGlobalPhaseInvariance:
+    """Rotating every setting by one common phase leaves each functional
+    unchanged; the optimizer's fix_global_phase=True rests on this."""
+
+    @given(
+        name=st.sampled_from(sorted(CAT)),
+        n=st.integers(1, 30),
+        coords=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
+        phase=st.floats(0.0, 2.0 * math.pi),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_common_rotation(self, name, n, coords, phase):
+        functional = CAT[name]
+        k = functional.num_settings
+        s = np.array(coords[:k]) + 1j * np.array(coords[4 : 4 + k])
+        rotated = s * complex(math.cos(phase), math.sin(phase))
+        assert evaluate_functional(functional, n, rotated) == pytest.approx(
+            evaluate_functional(functional, n, s), abs=1e-12
+        )

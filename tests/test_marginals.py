@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from noonbell import marginals
 from noonbell import (
     correlation_coefficient,
     density_grid,
@@ -141,6 +142,19 @@ class TestDensityGrid:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             density_grid("q-marginal", 1, -1.0, 64)
+
+    @pytest.mark.parametrize("range_", [math.nan, math.inf])
+    def test_non_finite_range_rejected(self, range_):
+        with pytest.raises(ValueError, match="finite"):
+            density_grid("w-marginal", 1, range_, 16)
+
+    def test_count_upper_bound_before_any_work(self, monkeypatch):
+        # the check runs before the first quadrature call, so nothing is allocated
+        monkeypatch.setattr(marginals, "_marginal_value", None)
+        with pytest.raises(ValueError, match=r"count must be <= 1024, got 100000: about 2560 MB"):
+            density_grid("w-marginal", 1, 3.0, 100_000)
+        with pytest.raises(ValueError, match="got 1025"):
+            density_grid("q-marginal", 1, 3.0, 1025)
 
     def test_grid_matches_pointwise_values(self):
         grid = density_grid("w-marginal", 2, 2.0, 16)

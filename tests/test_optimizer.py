@@ -30,10 +30,11 @@ class TestConfigValidation:
         [
             dict(num_starts=0),
             dict(search_radius=0.0),
-            dict(simplex_tolerance=0.0),
+            dict(search_radius=math.nan),
             dict(max_iterations=0),
             dict(rng_seed=-1),
             dict(coarse_grid_points_per_axis=1),
+            dict(search_radius=math.inf),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
