@@ -158,7 +158,7 @@ def _emit(args, command: str, parameters: dict, text: str, started: float, svg=N
     if not payloads:
         return
     for path, body in payloads.items():
-        Path(path).write_text(body, encoding="utf-8")
+        _write(path, body)
     primary = next(iter(payloads))
     manifest = {
         "command": command,
@@ -168,9 +168,14 @@ def _emit(args, command: str, parameters: dict, text: str, started: float, svg=N
         "duration_seconds": time.monotonic() - started,
         "outputs": sorted(payloads),
     }
-    Path(primary + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write(primary + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _eval_registry():

@@ -251,9 +251,9 @@ def catalog_json() -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def validate_settings(functional: BellFunctional, settings, radius: float | None = None) -> np.ndarray:
+def validate_settings(functional: BellFunctional, settings) -> np.ndarray:
     """Coerce to a complex settings array of the functional's arity and check
-    finiteness (and, optionally, the search-box radius)."""
+    finiteness."""
     arr = np.asarray(settings, dtype=np.complex128)
     if arr.shape[-1:] != (functional.num_settings,):
         raise ValueError(
@@ -262,10 +262,6 @@ def validate_settings(functional: BellFunctional, settings, radius: float | None
         )
     if not np.all(np.isfinite(arr)):
         raise ValueError("settings must be finite")
-    if radius is not None:
-        sup = max(np.max(np.abs(arr.real)), np.max(np.abs(arr.imag)))
-        if sup > radius * (1.0 + 1e-12):
-            raise ValueError(f"setting coordinate {sup:.6g} outside search radius {radius:.6g}")
     return arr
 
 
@@ -302,32 +298,28 @@ def _evaluate_terms(functional: BellFunctional, p, per_setting, inf_mask):
     return total
 
 
-def evaluate_functional(functional: BellFunctional, p, settings, infinite=None):
+def evaluate_functional(functional: BellFunctional, p, settings):
     """Evaluate a functional on a settings vector (or an array of them,
-    settings in the last axis).
-
-    ``infinite`` optionally marks setting labels whose amplitude is taken to
-    the large-modulus limit (all Gaussian-damped probabilities -> 0); used to
-    report the analytic value of optima that sit on the search boundary.
-    """
+    settings in the last axis)."""
     arr = validate_settings(functional, settings)
     k = functional.num_settings
-    if infinite is None:
-        inf_mask = (False,) * k
-    else:
-        inf_mask = tuple(bool(x) for x in infinite)
-        if len(inf_mask) != k:
-            raise ValueError("infinite mask length must match num_settings")
-    total = _evaluate_terms(functional, p, [arr[..., i] for i in range(k)], inf_mask)
+    total = _evaluate_terms(functional, p, [arr[..., i] for i in range(k)], (False,) * k)
     if np.ndim(total) == 0:
         return float(total)
     return np.asarray(total, dtype=float)
 
 
 def functional_limit(functional: BellFunctional, p, settings, infinite) -> float:
-    """Value of the functional with the masked settings sent to infinite
-    modulus; the finite settings keep their values."""
-    return float(evaluate_functional(functional, p, settings, infinite=infinite))
+    """Value of the functional at one settings vector with the settings
+    marked in ``infinite`` sent to infinite modulus (all Gaussian-damped
+    probabilities -> 0); the others keep their values.  Reports the analytic
+    value of optima that sit on the search boundary."""
+    arr = validate_settings(functional, settings)
+    k = functional.num_settings
+    inf_mask = tuple(bool(x) for x in infinite)
+    if len(inf_mask) != k:
+        raise ValueError("infinite mask length must match num_settings")
+    return float(_evaluate_terms(functional, p, [arr[..., i] for i in range(k)], inf_mask))
 
 
 def _pow_over_factorial(s: float, n: int) -> float:

@@ -13,9 +13,11 @@ in (y, v):
 
 The integrands are polynomials times exp(-r (x^2 + u^2)) with r = 1 (q) or
 r = 2 (w), so Gauss-Hermite nodes scaled by 1/sqrt(r) integrate them exactly
-once the order exceeds the polynomial degree; the default order 40 is far
-beyond that for any photon number in use.  Moments over (y, v) reuse the same
-nodes.
+once the order exceeds the polynomial degree; order 40 is far beyond that
+for any photon number in use.  Moments over (y, v) reuse the same nodes and
+are exact too.  The factored L1 distance reuses them as well, but its
+integrand |f - g| has kinks, so there the rule is only accurate to about
+1e-2.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 from noonbell.correlators import photon_number, q_joint, wigner
 
 __all__ = [
-    "DEFAULT_ORDER",
     "DensityGrid",
     "marginal_q",
     "marginal_w",
@@ -41,7 +42,7 @@ __all__ = [
     "grid_from_csv",
 ]
 
-DEFAULT_ORDER = 40
+_ORDER = 40
 _MIN_GRID_COUNT = 16
 # Each grid row holds count x order^2 complex values, and the whole grid
 # evaluates count^2 x order^2 quadrature points at about 30 ns each.
@@ -88,14 +89,14 @@ def _marginal_value(kind: str, p, y, v, order: int):
     return out
 
 
-def marginal_q(p, y, v, order: int = DEFAULT_ORDER):
+def marginal_q(p, y, v):
     """No-click marginal density at (y, v), normalized to unit total mass."""
-    return _marginal_value("q-marginal", p, y, v, order)
+    return _marginal_value("q-marginal", p, y, v, _ORDER)
 
 
-def marginal_w(p, y, v, order: int = DEFAULT_ORDER):
+def marginal_w(p, y, v):
     """Wigner marginal density at (y, v); pointwise nonnegative."""
-    return _marginal_value("w-marginal", p, y, v, order)
+    return _marginal_value("w-marginal", p, y, v, _ORDER)
 
 
 def _node_grid(kind: str, p, order: int):
@@ -107,13 +108,13 @@ def _node_grid(kind: str, p, order: int):
     return y, w, _marginal_value(kind, p, y[:, np.newaxis], y[np.newaxis, :], order)
 
 
-def marginal_integral(kind: str, p, order: int = DEFAULT_ORDER) -> float:
+def marginal_integral(kind: str, p) -> float:
     """Full integral of the marginal over the (y, v) plane (should be 1)."""
-    return _moments(kind, p, order)[0]
+    return _moments(kind, p)[0]
 
 
-def _moments(kind: str, p, order: int):
-    y, w, vals = _node_grid(kind, p, order)
+def _moments(kind: str, p):
+    y, w, vals = _node_grid(kind, p, _ORDER)
     wy = w * (vals @ w)  # mass attached to each y node
     wv = w * (w @ vals)
     total = float(np.sum(wy))
@@ -125,20 +126,25 @@ def _moments(kind: str, p, order: int):
     return total, mean_y, mean_v, var_y, var_v, cov
 
 
-def correlation_coefficient(kind: str, p, order: int = DEFAULT_ORDER) -> float:
+def correlation_coefficient(kind: str, p) -> float:
     """Linear correlation coefficient r = cov(y, v) / (std y * std v) of the
     normalized marginal; vanishes for every photon number above 1."""
-    _, _, _, var_y, var_v, cov = _moments(kind, p, order)
+    _, _, _, var_y, var_v, cov = _moments(kind, p)
     if var_y <= 0.0 or var_v <= 0.0:
         raise ValueError("correlation coefficient undefined: degenerate variance")
     return cov / math.sqrt(var_y * var_v)
 
 
-def factored_l1_distance(kind: str, p, order: int = DEFAULT_ORDER) -> float:
+def factored_l1_distance(kind: str, p) -> float:
     """L1 distance between the 2-D marginal and the product of its two 1-D
     marginals; bounded away from zero for photon number >= 2 even though the
-    linear correlation coefficient vanishes there (nonlinear dependence)."""
-    _, w, vals = _node_grid(kind, p, order)
+    linear correlation coefficient vanishes there (nonlinear dependence).
+
+    Accurate to about 1e-2 absolute: |f - g| has kinks, where Gauss-Hermite
+    is not exact.  For N <= 3 the value is within 4e-3 of a 401^2-point
+    trapezoid sum over [-6, 6]^2, and orders 40 and 56 differ by up to
+    8.1e-3 (q, N = 2: 0.2573 and 0.2492 against 0.2535)."""
+    _, w, vals = _node_grid(kind, p, _ORDER)
     my = vals @ w  # 1-D marginal in y, evaluated on the y nodes
     mv = w @ vals
     product = np.outer(my, mv)
@@ -180,7 +186,7 @@ class DensityGrid:
         return float(np.trapezoid(inner, axis))
 
 
-def density_grid(kind: str, p, range_: float, count: int, order: int = DEFAULT_ORDER) -> DensityGrid:
+def density_grid(kind: str, p, range_: float, count: int) -> DensityGrid:
     """Marginal density sampled on [-range, range]^2 with ``count`` points per
     axis (rows indexed by y, columns by v)."""
     kind = _canonical_kind(kind)
@@ -190,15 +196,15 @@ def density_grid(kind: str, p, range_: float, count: int, order: int = DEFAULT_O
     if count < _MIN_GRID_COUNT:
         raise ValueError(f"count must be >= {_MIN_GRID_COUNT}, got {count}")
     if count > _MAX_GRID_COUNT:
-        points = count * count * order * order
+        points = count * count * _ORDER * _ORDER
         raise ValueError(
             f"count must be <= {_MAX_GRID_COUNT}, got {count}: about "
-            f"{count * order * order * 16 / 1e6:.0f} MB per row array and "
+            f"{count * _ORDER * _ORDER * 16 / 1e6:.0f} MB per row array and "
             f"{points * _NS_PER_POINT * 1e-9:.0f} s for {points:.2e} quadrature points"
         )
     axis = np.linspace(-range_, range_, count)
     rows = [
-        np.asarray(_marginal_value(kind, n, np.full(count, yv), axis, order), dtype=float)
+        np.asarray(_marginal_value(kind, n, np.full(count, yv), axis, _ORDER), dtype=float)
         for yv in axis
     ]
     normalization = math.pi**2 if kind == "q-marginal" else 1.0

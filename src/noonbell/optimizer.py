@@ -4,14 +4,18 @@ Strategy: a coarse deterministic grid over the real coordinates of the
 settings vector, followed by Nelder-Mead simplex descents seeded from the
 best grid cells and from seeded random points.  Derivative-free is the right
 tool here because several functionals have flat plateaus (the six-event
-combinations saturate as amplitudes grow) where gradients vanish.
+combinations saturate as amplitudes grow) where gradients vanish.  A common
+phase rotation of all settings leaves every functional unchanged, so the
+first setting is always held real: k settings span 2k - 1 coordinates.
 
-Determinism: the grid is fixed, random start k depends only on (seed, k),
-ties are broken by the lexicographically smallest settings vector, and the
-merge is a total order -- so results are bit-identical for a given seed, and
-doubling ``num_starts`` never worsens the reported value.  The descents run
-one after another: the objective is python code, so threads would only
-contend for the interpreter lock.
+Determinism: the grid is fixed and random start k depends only on (seed, k).
+Grid seeds and the final pick are ranked by one total order -- value in the
+violation direction, ties broken by the lexicographically smallest
+coordinate vector -- so results are bit-identical for a given seed, the
+seeds for k starts are a prefix of those for 2k, and doubling
+``num_starts`` never worsens the reported value.  The descents run one
+after another: the objective is python code, so threads would only contend
+for the interpreter lock.
 """
 
 from __future__ import annotations
@@ -46,6 +50,12 @@ __all__ = [
 ]
 
 _GRID_CHUNK = 200_000
+# Cost guards: the grid scan takes about 0.6 us per point and a simplex
+# polish about 1,000-1,800 evaluations of ~40 us per start.
+_MAX_GRID_POINTS = 50_000_000
+_GRID_S_PER_POINT = 0.6e-6
+_MAX_STARTS = 4096
+_POLISH_S_PER_START = 0.06
 _BOUNDARY_RTOL = 1e-6
 # Nelder-Mead stops when both the simplex's values and its vertices agree
 # to these absolute tolerances.
@@ -64,13 +74,15 @@ class OptimizerConfig:
     coarse_grid_points_per_axis: int = 7
     max_iterations: int = 20_000
     rng_seed: int = 0
-    # Joint phase rotation of all settings leaves every functional invariant,
-    # so the first setting can be held real; disable to validate.
-    fix_global_phase: bool = True
 
     def __post_init__(self) -> None:
         if self.num_starts < 1:
             raise ValueError("num_starts must be >= 1")
+        if self.num_starts > _MAX_STARTS:
+            raise ValueError(
+                f"num_starts must be <= {_MAX_STARTS}, got {self.num_starts}: about "
+                f"{self.num_starts * _POLISH_S_PER_START:.0f} s of simplex polish"
+            )
         if not (math.isfinite(self.search_radius) and self.search_radius > 0):
             raise ValueError(f"search_radius must be finite and > 0, got {self.search_radius!r}")
         if self.coarse_grid_points_per_axis < 2:
@@ -127,57 +139,50 @@ def _direction_sign(functional: BellFunctional) -> float:
     return 1.0 if functional.violation_direction == "above-upper" else -1.0
 
 
-def _dims(num_settings: int, fix_phase: bool) -> int:
-    return 2 * num_settings - (1 if fix_phase else 0)
-
-
-def _unpack(x: np.ndarray, num_settings: int, fix_phase: bool) -> np.ndarray:
+def _unpack(x: np.ndarray, num_settings: int) -> np.ndarray:
     """Real coordinate vector(s) -> complex settings; coordinates are ordered
-    (re0[, im0], re1, im1, ...) with im0 dropped when the phase is fixed."""
+    (re0, re1, im1, re2, im2, ...), the first setting being held real."""
     x = np.asarray(x, dtype=float)
     lead = x.shape[:-1]
     out = np.empty(lead + (num_settings,), dtype=np.complex128)
-    if fix_phase:
-        out[..., 0] = x[..., 0]
-        rest = x[..., 1:].reshape(lead + (num_settings - 1, 2))
-        out[..., 1:] = rest[..., 0] + 1j * rest[..., 1]
-    else:
-        pairs = x.reshape(lead + (num_settings, 2))
-        out[...] = pairs[..., 0] + 1j * pairs[..., 1]
+    out[..., 0] = x[..., 0]
+    rest = x[..., 1:].reshape(lead + (num_settings - 1, 2))
+    out[..., 1:] = rest[..., 0] + 1j * rest[..., 1]
     return out
 
 
-def _settings_key(settings: np.ndarray) -> tuple:
-    """Lexicographic tie-break key over (re, im) pairs."""
-    return tuple(float(v) for z in settings for v in (z.real, z.imag))
+def _ranked(scored: np.ndarray, x: np.ndarray, keep: int) -> np.ndarray:
+    """Indices of the ``keep`` best rows under the total order: ``scored``
+    descending, then the coordinate rows ``x`` lexicographically ascending.
+    Only the rows at or above the keep-th value are sorted."""
+    k = min(keep, len(scored))
+    cutoff = np.partition(-scored, k - 1)[k - 1]
+    head = np.flatnonzero(-scored <= cutoff)
+    order = np.lexsort((*x[head].T[::-1], -scored[head]))
+    return head[order[:k]]
 
 
-def _grid_axes(cfg: OptimizerConfig, dims: int) -> list[np.ndarray]:
-    axis = np.linspace(-cfg.search_radius, cfg.search_radius, cfg.coarse_grid_points_per_axis)
-    return [axis] * dims
-
-
-def _scan_grid(functional, p, axes, sign, keep):
-    """Evaluate the full grid in chunks; return the ``keep`` best coordinate
-    vectors under the total order (value desc, settings lex asc)."""
-    shape = tuple(len(a) for a in axes)
-    total = int(np.prod(shape))
-    dims = len(axes)
-    fix_phase = dims == 2 * functional.num_settings - 1
-    pool: list[tuple[float, tuple, np.ndarray]] = []
+def _scan_grid(functional, p, axis, sign, keep):
+    """Evaluate the full grid (``axis`` on every coordinate) in chunks;
+    return the signed values and coordinate rows of its ``keep`` best
+    points, best first."""
+    dims = 2 * functional.num_settings - 1
+    total = len(axis) ** dims
+    if total > _MAX_GRID_POINTS:
+        raise ValueError(
+            f"a {len(axis)}-point grid has {len(axis)}^{dims} = {total:.2e} points, more "
+            f"than {_MAX_GRID_POINTS:.0e}: about {total * _GRID_S_PER_POINT:.0f} s to scan"
+        )
+    best_scored, best_x = np.empty(0), np.empty((0, dims))
     for start in range(0, total, _GRID_CHUNK):
         flat = np.arange(start, min(start + _GRID_CHUNK, total))
-        coords = np.unravel_index(flat, shape)
-        x = np.stack([axes[d][coords[d]] for d in range(dims)], axis=1)
-        values = evaluate_functional(functional, p, _unpack(x, functional.num_settings, fix_phase))
-        scored = sign * np.asarray(values)
-        k = min(keep, len(flat))
-        top = np.argpartition(-scored, k - 1)[:k]
-        for i in top:
-            pool.append((float(scored[i]), _settings_key(_unpack(x[i], functional.num_settings, fix_phase)), x[i]))
-        pool.sort(key=lambda t: (-t[0], t[1]))
-        del pool[keep:]
-    return pool
+        x = axis[np.stack(np.unravel_index(flat, (len(axis),) * dims), axis=1)]
+        values = evaluate_functional(functional, p, _unpack(x, functional.num_settings))
+        scored = np.concatenate([best_scored, sign * values])
+        x = np.concatenate([best_x, x])
+        top = _ranked(scored, x, keep)
+        best_scored, best_x = scored[top], x[top]
+    return best_scored, best_x
 
 
 def _random_start(seed: int, index: int, dims: int, radius: float) -> np.ndarray:
@@ -189,24 +194,16 @@ def _random_start(seed: int, index: int, dims: int, radius: float) -> np.ndarray
     return rng.uniform(-scale, scale, size=dims)
 
 
-def _make_objective(functional: BellFunctional, p, sign: float, fix_phase: bool):
+def _make_objective(functional: BellFunctional, p, sign: float):
     """Scalar objective for the simplex: python-complex settings through the
     same term-evaluation core the vectorized path uses."""
     k = functional.num_settings
     no_inf = (False,) * k
 
-    if fix_phase:
-
-        def objective(x):
-            per = [complex(x[0], 0.0)]
-            per += [complex(x[1 + 2 * i], x[2 + 2 * i]) for i in range(k - 1)]
-            return -sign * float(_evaluate_terms(functional, p, per, no_inf))
-
-    else:
-
-        def objective(x):
-            per = [complex(x[2 * i], x[2 * i + 1]) for i in range(k)]
-            return -sign * float(_evaluate_terms(functional, p, per, no_inf))
+    def objective(x):
+        per = [complex(x[0], 0.0)]
+        per += [complex(x[1 + 2 * i], x[2 + 2 * i]) for i in range(k - 1)]
+        return -sign * float(_evaluate_terms(functional, p, per, no_inf))
 
     return objective
 
@@ -238,15 +235,15 @@ def optimize(functional: BellFunctional, p, cfg: OptimizerConfig | None = None) 
     n = photon_number(p)
     sign = _direction_sign(functional)
     k = functional.num_settings
-    dims = _dims(k, cfg.fix_global_phase)
+    dims = 2 * k - 1
     bounds = [(-cfg.search_radius, cfg.search_radius)] * dims
-    objective = _make_objective(functional, p, sign, cfg.fix_global_phase)
+    objective = _make_objective(functional, p, sign)
 
-    n_grid_seeds = min(max(cfg.num_starts // 2, 1), cfg.num_starts)
-    grid_pool = _scan_grid(functional, p, _grid_axes(cfg, dims), sign, n_grid_seeds)
-    grid_best_scored, _, grid_best_x = grid_pool[0]
+    n_grid_seeds = max(cfg.num_starts // 2, 1)
+    axis = np.linspace(-cfg.search_radius, cfg.search_radius, cfg.coarse_grid_points_per_axis)
+    grid_scored, grid_x = _scan_grid(functional, p, axis, sign, n_grid_seeds)
 
-    starts = [x for _, _, x in grid_pool]
+    starts = list(grid_x)
     starts += [
         _random_start(cfg.rng_seed, j, dims, cfg.search_radius)
         for j in range(cfg.num_starts - len(starts))
@@ -257,16 +254,9 @@ def optimize(functional: BellFunctional, p, cfg: OptimizerConfig | None = None) 
 
     # The raw grid candidates stay in the pool so a plateau witness sitting
     # exactly on a grid point can never be lost to simplex wander.
-    candidates = [x for x, _ in polished] + [x for _, _, x in grid_pool]
-    best_scored = -math.inf
-    best_settings = None
-    best_key = None
-    for x in candidates:
-        settings = _unpack(np.asarray(x, dtype=float), k, cfg.fix_global_phase)
-        scored = sign * evaluate_functional(functional, p, settings)
-        key = _settings_key(settings)
-        if scored > best_scored or (scored == best_scored and key < best_key):
-            best_scored, best_settings, best_key = scored, settings, key
+    candidates = np.vstack([[x for x, _ in polished], grid_x])
+    scored = sign * evaluate_functional(functional, p, _unpack(candidates, k))
+    best_settings = _unpack(candidates[_ranked(scored, candidates, 1)[0]], k)
 
     best_value = float(evaluate_functional(functional, p, best_settings))
     threshold = cfg.search_radius * (1.0 - _BOUNDARY_RTOL)
@@ -286,7 +276,7 @@ def optimize(functional: BellFunctional, p, cfg: OptimizerConfig | None = None) 
         best_settings=best_settings,
         starts_converged=starts_converged,
         starts_total=len(starts),
-        grid_best_value=float(sign * grid_best_scored),
+        grid_best_value=float(sign * grid_scored[0]),
         seed=cfg.rng_seed,
         search_radius=cfg.search_radius,
         boundary_hit=boundary_hit,
@@ -319,11 +309,9 @@ def certify_with_grid(
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     sign = _direction_sign(functional)
-    dims = _dims(functional.num_settings, True)
     axis = np.linspace(-result.search_radius, result.search_radius, grid_points)
-    pool = _scan_grid(functional, p, [axis] * dims, sign, 1)
-    grid_scored, _, grid_x = pool[0]
-    grid_settings = _unpack(grid_x, functional.num_settings, True)
+    (grid_scored,), (grid_x,) = _scan_grid(functional, p, axis, sign, 1)
+    grid_settings = _unpack(grid_x, functional.num_settings)
     gap = sign * result.best_value - grid_scored
     return CertificationReport(
         functional_name=functional.name,

@@ -80,48 +80,18 @@ def _ch_witness() -> CheckResult:
     )
 
 
-def _oracle_q(level: str) -> CheckResult:
-    rng = np.random.default_rng(7)
-    if level == FULL:
-        n_max, count, radius, cutoff = 5, 200, 2.5, 64
-    else:
-        n_max, count, radius, cutoff = 3, 20, 1.5, 32
+def _oracle_check(name, tolerance, closed, oracle, seed, sizes) -> CheckResult:
+    """Worst gap between a closed form and its Fock oracle; ``sizes`` is
+    (n_max, count, radius, cutoff)."""
+    rng = np.random.default_rng(seed)
+    n_max, count, radius, cutoff = sizes
     worst = 0.0
     for n in range(1, n_max + 1):
         alphas = _random_amplitudes(rng, count, radius)
         betas = _random_amplitudes(rng, count, radius)
         for a, b in zip(alphas, betas):
-            closed = correlators.q_joint(n, a, b)
-            brute = fock.oracle_q_joint(n, a, b, cutoff)
-            worst = max(worst, abs(closed - brute))
-    return _check(
-        "no-click-joint-vs-oracle",
-        1e-9,
-        worst,
-        f"n <= {n_max}, {count} random settings, cutoff {cutoff}",
-    )
-
-
-def _oracle_parity(level: str) -> CheckResult:
-    rng = np.random.default_rng(11)
-    if level == FULL:
-        n_max, count, radius, cutoff = 4, 200, 1.5, 64
-    else:
-        n_max, count, radius, cutoff = 2, 10, 1.0, 32
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        alphas = _random_amplitudes(rng, count, radius)
-        betas = _random_amplitudes(rng, count, radius)
-        for a, b in zip(alphas, betas):
-            closed = correlators.parity_corr(n, a, b)
-            brute = fock.oracle_parity_corr(n, a, b, cutoff)
-            worst = max(worst, abs(closed - brute))
-    return _check(
-        "parity-vs-oracle",
-        1e-7,
-        worst,
-        f"n <= {n_max}, {count} random settings, cutoff {cutoff}",
-    )
+            worst = max(worst, abs(closed(n, a, b) - oracle(n, a, b, cutoff)))
+    return _check(name, tolerance, worst, f"n <= {n_max}, {count} random settings, cutoff {cutoff}")
 
 
 def _displacement_unitarity() -> CheckResult:
@@ -306,8 +276,14 @@ def run_checks(level: str = QUICK) -> list[CheckResult]:
     checks = [
         _laguerre_reference(),
         _ch_witness(),
-        _oracle_q(level),
-        _oracle_parity(level),
+        _oracle_check(
+            "no-click-joint-vs-oracle", 1e-9, correlators.q_joint, fock.oracle_q_joint, 7,
+            (5, 200, 2.5, 64) if level == FULL else (3, 20, 1.5, 32),
+        ),
+        _oracle_check(
+            "parity-vs-oracle", 1e-7, correlators.parity_corr, fock.oracle_parity_corr, 11,
+            (4, 200, 1.5, 64) if level == FULL else (2, 10, 1.0, 32),
+        ),
         _displacement_unitarity(),
         _swap_unitary(),
         _j2_witness(),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from handcoded import bell_wigner_values
-from noonbell import cli, correlators
+from noonbell import cli, correlators, optimizer
 
 
 def run_cli(argv, capsys):
@@ -374,6 +374,48 @@ class TestDeclaredOptions:
         code, out, err = run_cli(["marginal", "w", "--n", "1", "--count", "100000"], capsys)
         assert code == 2
         assert out == "" and "count must be <=" in err and "MB" in err
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["optimize", "ch", "--n", "1", "--grid", "40", "--starts", "1"],
+         ("40^7 = 1.64e+11 points", "s to scan")),
+        (["optimize", "ch", "--n", "1", "--starts", str(optimizer._MAX_STARTS + 1)],
+         ("num_starts must be <=", "s of simplex polish")),
+    ])
+    def test_cost_above_limit_exit_2(self, capsys, monkeypatch, argv, expected):
+        def no_scan(*args):
+            raise AssertionError("the grid scan started")
+
+        monkeypatch.setattr(optimizer, "evaluate_functional", no_scan)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == "" and all(text in err for text in expected)
+
+
+class TestUnwritableOutput:
+    """A payload, SVG or manifest path that cannot be written is a usage
+    error naming the path, not a traceback."""
+
+    def test_eval_out_in_missing_directory(self, tmp_path, capsys):
+        missing = tmp_path / "missing" / "x.txt"
+        argv = ["eval", "q-joint", "--n", "1", "--settings", "1,0", "--out", str(missing)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == "" and err.startswith(f"noonbell: error: cannot write {missing}")
+
+    def test_marginal_svg_in_missing_directory(self, tmp_path, capsys):
+        missing = tmp_path / "missing" / "m.svg"
+        argv = ["marginal", "w", "--n", "1", "--count", "16", "--svg", str(missing)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith(f"noonbell: error: cannot write {missing}")
+
+    def test_manifest_path_taken_by_directory(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        (tmp_path / "x.txt.manifest.json").mkdir()
+        argv = ["eval", "q-joint", "--n", "1", "--settings", "1,0", "--out", str(out)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith(f"noonbell: error: cannot write {out}.manifest.json")
 
 
 class TestThreads:

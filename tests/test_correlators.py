@@ -72,6 +72,33 @@ class TestLaguerre:
             laguerre(-1, 0.0)
 
 
+wide_complex = st.builds(
+    complex,
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.floats(min_value=-5.0, max_value=5.0),
+)
+
+
+class TestLargeNBounds:
+    """The probability bounds hold up to N = 300, well above N = 20 where the
+    powers switch to log space and the Laguerre recurrence grows long."""
+
+    @given(alpha=wide_complex, beta=wide_complex, n=st.integers(1, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_q_joint_in_unit_interval(self, alpha, beta, n):
+        assert 0.0 <= q_joint(n, alpha, beta) <= 1.0
+
+    @given(alpha=wide_complex, n=st.integers(1, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_q_single_in_half_open_interval(self, alpha, n):
+        assert 0.0 < q_single_a(n, alpha) <= 0.5
+
+    @given(alpha=wide_complex, beta=wide_complex, n=st.integers(1, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_parity_corr_bounded(self, alpha, beta, n):
+        assert abs(parity_corr(n, alpha, beta)) <= 1.0 + 1e-12
+
+
 class TestQJoint:
     def test_reference_point(self):
         # frozen from the truncated Fock oracle (see test_fock.py)

@@ -82,11 +82,6 @@ class TestSettingsValidation:
         with pytest.raises(ValueError):
             validate_settings(CAT["ch"], [math.nan, 0, 0, 0])
 
-    def test_radius_check(self):
-        with pytest.raises(ValueError):
-            validate_settings(CAT["ch"], [6.0, 0, 0, 0], radius=5.0)
-        validate_settings(CAT["ch"], [5.0, 0, 0, 0], radius=5.0)
-
 
 class TestChValue:
     def test_all_zero_is_classical_edge(self):
@@ -300,7 +295,7 @@ class TestGenericEvaluator:
 
 class TestGlobalPhaseInvariance:
     """Rotating every setting by one common phase leaves each functional
-    unchanged; the optimizer's fix_global_phase=True rests on this."""
+    unchanged; the optimizer's holding the first setting real rests on this."""
 
     @given(
         name=st.sampled_from(sorted(CAT)),

@@ -61,10 +61,12 @@ class TestPointValues:
             )
 
     def test_quadrature_convergence(self):
-        for n in (1, 3, 5):
-            for y, v in ((0.4, -1.1), (1.8, 0.9)):
-                assert abs(marginal_q(n, y, v, order=40) - marginal_q(n, y, v, order=80)) < 1e-8
-                assert abs(marginal_w(n, y, v, order=40) - marginal_w(n, y, v, order=80)) < 1e-8
+        for kind in ("q-marginal", "w-marginal"):
+            for n in (1, 3, 5):
+                for y, v in ((0.4, -1.1), (1.8, 0.9)):
+                    low = marginals._marginal_value(kind, n, y, v, 40)
+                    high = marginals._marginal_value(kind, n, y, v, 80)
+                    assert abs(low - high) < 1e-8
 
 
 class TestNormalization:
@@ -114,6 +116,20 @@ class TestNonlinearDependence:
     @pytest.mark.parametrize("n", [2, 3])
     def test_joint_differs_from_product(self, kind, n):
         assert factored_l1_distance(kind, n) > 1e-3
+
+    @pytest.mark.parametrize("kind", ["q-marginal", "w-marginal"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stated_accuracy(self, kind, n, monkeypatch):
+        # |f - g| has kinks, so the Gauss-Hermite rule is not exact for it.
+        # Orders above 56 would need order^4 complex values (10 GB at 160).
+        value = factored_l1_distance(kind, n)
+        grid = density_grid(kind, n, 6.0, 201)
+        h = grid.y_axis[1] - grid.y_axis[0]
+        f = grid.values
+        fine = np.abs(f - np.outer(f.sum(axis=1) * h, f.sum(axis=0) * h)).sum() * h * h
+        assert abs(value - fine) < 5e-3
+        monkeypatch.setattr(marginals, "_ORDER", 56)
+        assert abs(factored_l1_distance(kind, n) - value) < 1e-2
 
 
 class TestDensityGrid:

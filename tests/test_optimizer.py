@@ -17,6 +17,7 @@ from noonbell import (
     sweep_n,
     sweep_to_csv,
 )
+from noonbell import optimizer
 
 CAT = catalog()
 
@@ -35,6 +36,7 @@ class TestConfigValidation:
             dict(rng_seed=-1),
             dict(coarse_grid_points_per_axis=1),
             dict(search_radius=math.inf),
+            dict(num_starts=optimizer._MAX_STARTS + 1),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -83,13 +85,6 @@ class TestOptimize:
         # minimize direction: more starts can only improve (lower) the value
         assert big.best_value <= small.best_value
 
-    def test_phase_fixing_matches_full_search(self):
-        fixed = optimize(CAT["ch"], 1, OptimizerConfig(rng_seed=6, **FAST))
-        free = optimize(
-            CAT["ch"], 1, OptimizerConfig(rng_seed=6, fix_global_phase=False, **FAST)
-        )
-        assert fixed.best_value == pytest.approx(free.best_value, abs=1e-6)
-
     def test_non_convergence_is_reported_not_raised(self):
         r = optimize(CAT["ch"], 1, OptimizerConfig(rng_seed=7, num_starts=4, max_iterations=3))
         assert r.starts_converged < r.starts_total
@@ -120,6 +115,44 @@ class TestOptimize:
         r = optimize(CAT["ch"], 1, OptimizerConfig(rng_seed=10, **FAST))
         assert not r.boundary_hit
         assert r.boundary_limit is None
+
+
+class TestGridScan:
+    """The grid seeds are the exact top-k of the whole grid under the total
+    order -- value in the violation direction, then coordinates in ascending
+    lexicographic order -- however the scan is chunked."""
+
+    @pytest.fixture(scope="class")
+    def ranked_grid(self):
+        axis = np.linspace(-5.0, 5.0, 7)
+        x = axis[np.stack(np.unravel_index(np.arange(7**7), (7,) * 7), axis=1)]
+        scored = -evaluate_functional(CAT["ch"], 1, optimizer._unpack(x, 4))
+        order = np.lexsort((*x.T[::-1], -scored))
+        return axis, scored[order], x[order]
+
+    def test_seed_pool_is_exact_top_k(self, ranked_grid, monkeypatch):
+        axis, scored, x = ranked_grid
+        monkeypatch.setattr(optimizer, "_GRID_CHUNK", 9_973)
+        pools = {}
+        for keep in (16, 32):
+            pool_scored, pool_x = optimizer._scan_grid(CAT["ch"], 1, axis, -1.0, keep)
+            assert np.array_equal(pool_scored, scored[:keep])
+            assert np.array_equal(pool_x, x[:keep])
+            pools[keep] = pool_x
+        assert np.array_equal(pools[32][:16], pools[16])
+
+    def test_grid_size_guard_precedes_the_scan(self, monkeypatch):
+        tiny = OptimizerConfig(num_starts=1, coarse_grid_points_per_axis=2, max_iterations=1)
+        r = optimize(CAT["j1"], 1, tiny)
+
+        def no_scan(*args):
+            raise AssertionError("the grid scan started")
+
+        monkeypatch.setattr(optimizer, "evaluate_functional", no_scan)
+        with pytest.raises(ValueError, match="points, more than"):
+            optimize(CAT["ch"], 1, OptimizerConfig(coarse_grid_points_per_axis=13))
+        with pytest.raises(ValueError, match="points, more than"):
+            certify_with_grid(CAT["j1"], 1, r, grid_points=13)
 
 
 class TestSweep:
