@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -151,30 +152,36 @@ def _search_params(args, cfg: OptimizerConfig) -> dict:
 
 def _emit(args, command: str, parameters: dict, text: str, started: float, svg=None) -> None:
     """Write the payload to ``--out`` (else stdout) and ``svg`` to ``--svg``,
-    plus the run manifest next to the first file written."""
+    plus the run manifest next to the first file written.  The files come
+    first and stdout last, so a run that fails to write prints nothing."""
     payloads = {path: body for path, body in ((args.out, text), (svg and args.svg, svg)) if path}
-    if not args.out:
-        sys.stdout.write(text)
-    if not payloads:
-        return
     for path, body in payloads.items():
         _write(path, body)
-    primary = next(iter(payloads))
-    manifest = {
-        "command": command,
-        "parameters": parameters,
-        "seed": parameters.get("seed"),
-        "version": noonbell.__version__,
-        "duration_seconds": time.monotonic() - started,
-        "outputs": sorted(payloads),
-    }
-    _write(primary + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    if payloads:
+        primary = next(iter(payloads))
+        manifest = {
+            "command": command,
+            "parameters": parameters,
+            "seed": parameters.get("seed"),
+            "version": noonbell.__version__,
+            "duration_seconds": time.monotonic() - started,
+            "outputs": sorted(payloads),
+        }
+        _write(primary + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    if not args.out:
+        sys.stdout.write(text)
 
 
 def _write(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path`` and rename it into
+    place, so that ``path`` never holds a partial file."""
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.tmp")
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, target)
     except OSError as exc:
+        tmp.unlink(missing_ok=True)
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 

@@ -15,6 +15,13 @@ a local-oscillator amplitude and detecting gives two measurement schemes:
 Every function accepts python scalars or numpy arrays for the oscillator
 amplitudes and broadcasts elementwise.  The photon number is a plain integer
 (python or numpy) >= 1.
+
+Each correlator is a composition of private helpers: per-setting factors
+(``_q_factors``, ``_parity_factors``) and the formula that combines one or
+two settings' factors (``_q_single``, ``_q_pair``, ``_parity_pair``).  The
+functional evaluator computes the factors once per setting and combines them
+per term with the same helpers, so its values equal the public functions'
+bit for bit.
 """
 
 from __future__ import annotations
@@ -77,21 +84,48 @@ def laguerre(n: int, x):
     return lk
 
 
+def _q_factors(n: int, alpha):
+    """Per-setting factors of the no-click probabilities: (|a|^2, a^N/sqrt(N!))."""
+    return _abs2(alpha), _scaled_power(alpha, n)
+
+
+def _q_single(s, z):
+    """Single-mode no-click probability from its setting's factors."""
+    return 0.5 * np.exp(-s) * (_abs2(z) + 1.0)
+
+
+def _q_pair(sa, za, sb, zb):
+    """Joint no-click probability from two settings' factors."""
+    return 0.5 * np.exp(-(sa + sb)) * _abs2(za - zb)
+
+
+def _parity_factors(n: int, alpha):
+    """Per-setting factors of the parity correlator:
+    (|a|^2, L_N(4|a|^2), (2a)^N/sqrt(N!))."""
+    s = _abs2(alpha)
+    return s, laguerre(n, 4.0 * s), _scaled_power(2.0 * alpha, n)
+
+
+def _parity_pair(n: int, sa, la, wa, sb, lb, wb):
+    """Parity correlator from two settings' factors."""
+    sign = -1.0 if n % 2 else 1.0
+    lag = sign * (la + lb)
+    cross = np.conjugate(wa) * wb
+    return 0.5 * np.exp(-2.0 * (sa + sb)) * (lag - 2.0 * cross.real)
+
+
 def q_joint(p, alpha, beta):
     """Probability that both displaced on/off detectors stay dark,
     exp(-(|a|^2+|b|^2)) |a^N - b^N|^2 / (2 N!); lies in [0, 1]."""
     n = photon_number(p)
-    za = _scaled_power(alpha, n)
-    zb = _scaled_power(beta, n)
-    return 0.5 * np.exp(-(_abs2(alpha) + _abs2(beta))) * _abs2(za - zb)
+    return _q_pair(*_q_factors(n, alpha), *_q_factors(n, beta))
 
 
 def q_single_a(p, alpha):
     """Probability that a mode's displaced on/off detector stays dark,
     exp(-|a|^2) (|a|^(2N)/N! + 1) / 2; lies in (0, 1/2].  The state is
     symmetric under mode exchange, so this serves mode b as well."""
-    n = photon_number(p)
-    return 0.5 * np.exp(-_abs2(alpha)) * (_abs2(_scaled_power(alpha, n)) + 1.0)
+    return _q_single(*_q_factors(photon_number(p), alpha))
 
 
 def click_probabilities(p, alpha, beta):
@@ -108,12 +142,7 @@ def parity_corr(p, alpha, beta):
     exp(-2|a|^2-2|b|^2) [(-1)^N (L_N(4|a|^2) + L_N(4|b|^2))
     - (2^(2N)/N!) (conj(a)^N b^N + a^N conj(b)^N)] / 2."""
     n = photon_number(p)
-    sa = _abs2(alpha)
-    sb = _abs2(beta)
-    sign = -1.0 if n % 2 else 1.0
-    lag = sign * (laguerre(n, 4.0 * sa) + laguerre(n, 4.0 * sb))
-    cross = np.conjugate(_scaled_power(2.0 * alpha, n)) * _scaled_power(2.0 * beta, n)
-    return 0.5 * np.exp(-2.0 * (sa + sb)) * (lag - 2.0 * cross.real)
+    return _parity_pair(n, *_parity_factors(n, alpha), *_parity_factors(n, beta))
 
 
 def wigner(p, alpha, beta):

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from noonbell.correlators import photon_number
 
@@ -64,6 +63,28 @@ def default_cutoff(n, *amplitudes: complex) -> int:
     n = photon_number(n)
     peak = max((abs(a) ** 2 for a in amplitudes), default=0.0)
     return math.ceil(_GUARD_RATIO * peak) + n + 10
+
+
+def _log_factorials(cutoff: int) -> np.ndarray:
+    """log(n!) for n = 0 .. cutoff - 1."""
+    return np.array([math.lgamma(n + 1.0) for n in range(cutoff)])
+
+
+def _genlaguerre_table(cutoff: int, x: float) -> np.ndarray:
+    """T[k, a] = L_k^(a)(x) for 0 <= k, a < cutoff, by the three-term
+    recurrence in k, (k+1) L_{k+1}^(a) = (2k+1+a-x) L_k^(a) - (k+a) L_{k-1}^(a),
+    run for every order a at once."""
+    k = np.arange(cutoff, dtype=float)[:, None]
+    a = np.arange(cutoff, dtype=float)
+    grow = (2.0 * k + 1.0 + a - x) / (k + 1.0)
+    fall = (k + a) / (k + 1.0)
+    table = np.empty((cutoff, cutoff))
+    table[0] = 1.0
+    if cutoff > 1:
+        table[1] = 1.0 + a - x
+    for i in range(1, cutoff - 1):
+        table[i + 1] = grow[i] * table[i] - fall[i] * table[i - 1]
+    return table
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -163,7 +184,7 @@ def coherent_state(alpha: complex, cutoff: int) -> FockVector:
         amps = np.zeros(cutoff, dtype=np.complex128)
         amps[0] = 1.0
         return FockVector(cutoff, amps, modes=1)
-    log_mag = -0.5 * abs(alpha) ** 2 + ns * math.log(abs(alpha)) - 0.5 * gammaln(ns + 1.0)
+    log_mag = -0.5 * abs(alpha) ** 2 + ns * math.log(abs(alpha)) - 0.5 * _log_factorials(cutoff)
     amps = np.exp(log_mag) * np.exp(1j * ns * np.angle(alpha))
     tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
     if tail < _RENORM_TAIL:
@@ -193,8 +214,9 @@ def displacement_matrix(alpha: complex, cutoff: int) -> FockOperator:
     k_lo = np.minimum(m_idx, n_idx)
     diff = np.abs(m_idx - n_idx)
     x = abs(alpha) ** 2
-    lag = eval_genlaguerre(k_lo, diff, x)
-    prefactor = np.exp(0.5 * (gammaln(k_lo + 1.0) - gammaln(np.maximum(m_idx, n_idx) + 1.0)))
+    lag = _genlaguerre_table(cutoff, x)[k_lo, diff]
+    log_fact = _log_factorials(cutoff)
+    prefactor = np.exp(0.5 * (log_fact[k_lo] - log_fact[np.maximum(m_idx, n_idx)]))
     base = np.where(m_idx >= n_idx, alpha, -np.conjugate(alpha)) ** diff
     mat = prefactor * base * math.exp(-0.5 * x) * lag
     return FockOperator(cutoff, mat, modes=1)

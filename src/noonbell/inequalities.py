@@ -12,8 +12,11 @@ violation direction.  Three probability kinds appear:
 * ``"parity"``  -- correlated displaced-parity expectations (CHSH).
 
 The catalog is immutable static data, and :func:`evaluate_functional` is the
-only way to evaluate a functional; the test suite checks it against
-term-by-term transcriptions of each combination.
+only way to evaluate a functional.  It computes each setting's correlator
+factors once and combines them per term with the correlators' own pair
+formulas; the test suite checks it bit for bit against a term-by-term
+evaluation through the public correlators, and against hand-coded
+transcriptions of each combination.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from noonbell.correlators import (
-    parity_corr,
+    _parity_factors,
+    _parity_pair,
+    _q_factors,
+    _q_pair,
+    _q_single,
     photon_number,
-    q_joint,
-    q_single_a,
 )
 
 __all__ = [
@@ -265,45 +270,47 @@ def validate_settings(functional: BellFunctional, settings) -> np.ndarray:
     return arr
 
 
-def _evaluate_terms(functional: BellFunctional, p, per_setting, inf_mask):
-    """Shared evaluation core; ``per_setting`` is a sequence of scalars or
-    broadcastable arrays, one per setting label.  No-click probabilities are
-    cached per label since both the single terms and the click joints reuse
-    them (both modes share one single-mode formula)."""
+def _evaluate(functional: BellFunctional, n: int, arr: np.ndarray, infinite=None):
+    """Sum of the functional's terms over settings ``arr`` (settings in the
+    last axis), added in catalog order.  Each setting's factors are computed
+    once, on the stacked array, and every term combines two settings'
+    factors.  Settings marked in ``infinite`` contribute 0 to every
+    probability they enter."""
     kind = functional.probability_kind
+    inf = np.zeros(functional.num_settings, dtype=bool) if infinite is None else infinite
+    # One contiguous row per setting.  Even a single settings vector is a
+    # batch of one, so that every value comes out of the same array loops.
+    rows = np.ascontiguousarray(arr.reshape(-1, functional.num_settings).T)
+    if kind == "parity":
+        s, lag, w = _parity_factors(n, rows)
 
-    q_cache: dict[int, object] = {}
+        def pair(i, j):
+            return _parity_pair(n, s[i], lag[i], w[i], s[j], lag[j], w[j])
 
-    def q_of(i):
-        if i not in q_cache:
-            q_cache[i] = 0.0 if inf_mask[i] else q_single_a(p, per_setting[i])
-        return q_cache[i]
+    else:
+        s, z = _q_factors(n, rows)
+        q = _q_single(s, z)
+        q[inf] = 0.0
+
+        def pair(i, j):
+            return _q_pair(s[i], z[i], s[j], z[j])
 
     total = 0.0
-    for idx, party, coeff in functional.single_terms:
-        if kind == "click":
-            total = total + coeff * (1.0 - q_of(idx))
-        else:
-            total = total + coeff * q_of(idx)
+    for idx, _, coeff in functional.single_terms:
+        total = total + coeff * (1.0 - q[idx] if kind == "click" else q[idx])
     for i, j, coeff in functional.joint_terms:
-        inf_any = inf_mask[i] or inf_mask[j]
-        if kind == "parity":
-            term = 0.0 if inf_any else parity_corr(p, per_setting[i], per_setting[j])
-        elif kind == "no-click":
-            term = 0.0 if inf_any else q_joint(p, per_setting[i], per_setting[j])
-        else:  # click: P_ab = 1 - Q_a - Q_b + Q_ab, Q terms vanish at infinity
-            qab = 0.0 if inf_any else q_joint(p, per_setting[i], per_setting[j])
-            term = 1.0 - q_of(i) - q_of(j) + qab
+        term = 0.0 if inf[i] or inf[j] else pair(i, j)
+        if kind == "click":  # P_ab = 1 - Q_a - Q_b + Q_ab
+            term = 1.0 - q[i] - q[j] + term
         total = total + coeff * term
-    return total
+    return np.reshape(total, arr.shape[:-1])
 
 
 def evaluate_functional(functional: BellFunctional, p, settings):
     """Evaluate a functional on a settings vector (or an array of them,
-    settings in the last axis)."""
-    arr = validate_settings(functional, settings)
-    k = functional.num_settings
-    total = _evaluate_terms(functional, p, [arr[..., i] for i in range(k)], (False,) * k)
+    settings in the last axis).  A row's value does not depend on the other
+    rows or on its position in the batch."""
+    total = _evaluate(functional, photon_number(p), validate_settings(functional, settings))
     if np.ndim(total) == 0:
         return float(total)
     return np.asarray(total, dtype=float)
@@ -315,11 +322,10 @@ def functional_limit(functional: BellFunctional, p, settings, infinite) -> float
     probabilities -> 0); the others keep their values.  Reports the analytic
     value of optima that sit on the search boundary."""
     arr = validate_settings(functional, settings)
-    k = functional.num_settings
-    inf_mask = tuple(bool(x) for x in infinite)
-    if len(inf_mask) != k:
+    inf = np.asarray(infinite, dtype=bool)
+    if inf.shape != (functional.num_settings,):
         raise ValueError("infinite mask length must match num_settings")
-    return float(_evaluate_terms(functional, p, [arr[..., i] for i in range(k)], inf_mask))
+    return float(_evaluate(functional, photon_number(p), arr, inf))
 
 
 def _pow_over_factorial(s: float, n: int) -> float:

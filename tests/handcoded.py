@@ -123,3 +123,37 @@ def j_value(which: int, p, settings):
             - qq(a, b) - qq(a, g) + qq(a, d) - qq(b, g) + qq(b, d) + qq(g, d)
         )
     return _scalar_or_array(value)
+
+
+def evaluate_terms(functional, p, per_setting, inf_mask):
+    """Term-by-term evaluation through the public correlators: the oracle for
+    ``evaluate_functional`` and ``functional_limit``.  ``per_setting`` is a
+    sequence of scalars or broadcastable arrays, one per setting label; a
+    setting marked in ``inf_mask`` contributes 0 to every probability it
+    enters.  Both modes share one single-mode no-click formula."""
+    kind = functional.probability_kind
+
+    q_cache: dict[int, object] = {}
+
+    def q_of(i):
+        if i not in q_cache:
+            q_cache[i] = 0.0 if inf_mask[i] else q_single_a(p, per_setting[i])
+        return q_cache[i]
+
+    total = 0.0
+    for idx, party, coeff in functional.single_terms:
+        if kind == "click":
+            total = total + coeff * (1.0 - q_of(idx))
+        else:
+            total = total + coeff * q_of(idx)
+    for i, j, coeff in functional.joint_terms:
+        inf_any = inf_mask[i] or inf_mask[j]
+        if kind == "parity":
+            term = 0.0 if inf_any else parity_corr(p, per_setting[i], per_setting[j])
+        elif kind == "no-click":
+            term = 0.0 if inf_any else q_joint(p, per_setting[i], per_setting[j])
+        else:  # click: P_ab = 1 - Q_a - Q_b + Q_ab, Q terms vanish at infinity
+            qab = 0.0 if inf_any else q_joint(p, per_setting[i], per_setting[j])
+            term = 1.0 - q_of(i) - q_of(j) + qab
+        total = total + coeff * term
+    return total

@@ -409,6 +409,22 @@ class TestUnwritableOutput:
         assert code == 2
         assert err.startswith(f"noonbell: error: cannot write {missing}")
 
+    def test_failed_write_prints_no_payload(self, tmp_path, capsys):
+        missing = tmp_path / "missing" / "x.svg"
+        argv = ["marginal", "w", "--n", "1", "--count", "16", "--svg", str(missing)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == "" and err.startswith(f"noonbell: error: cannot write {missing}")
+
+    def test_files_are_written_whole(self, tmp_path, capsys):
+        out, svg = tmp_path / "m.csv", tmp_path / "m.svg"
+        argv = ["marginal", "w", "--n", "1", "--count", "16", "--out", str(out), "--svg", str(svg)]
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 0 and stdout == ""
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == ["m.csv", "m.csv.manifest.json", "m.svg"]
+        assert out.read_text(encoding="utf-8").count("\n") == 18
+
     def test_manifest_path_taken_by_directory(self, tmp_path, capsys):
         out = tmp_path / "x.txt"
         (tmp_path / "x.txt.manifest.json").mkdir()

@@ -213,3 +213,45 @@ class TestDefaultCutoff:
 
     def test_no_amplitudes(self):
         assert default_cutoff(3) == 13
+
+
+class TestScipyReference:
+    """The log-factorial table and the generalized-Laguerre recurrence agree
+    with scipy's special functions, the reference they replaced."""
+
+    @pytest.fixture
+    def special(self):
+        return pytest.importorskip("scipy.special")
+
+    @staticmethod
+    def reference_displacement(special, alpha, cutoff):
+        ns = np.arange(cutoff)
+        m_idx, n_idx = np.meshgrid(ns, ns, indexing="ij")
+        k_lo = np.minimum(m_idx, n_idx)
+        diff = np.abs(m_idx - n_idx)
+        x = abs(alpha) ** 2
+        lag = special.eval_genlaguerre(k_lo, diff, x)
+        log_ratio = special.gammaln(k_lo + 1.0) - special.gammaln(np.maximum(m_idx, n_idx) + 1.0)
+        base = np.where(m_idx >= n_idx, alpha, -np.conjugate(alpha)) ** diff
+        return np.exp(0.5 * log_ratio) * base * math.exp(-0.5 * x) * lag
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 5, 16, 64, 128])
+    def test_displacement_matrix(self, special, cutoff):
+        rng = np.random.default_rng(cutoff)
+        for alpha in random_amplitudes(rng, 8, 0.99 * math.sqrt(cutoff / 4.0)):
+            alpha = complex(alpha)
+            expected = self.reference_displacement(special, alpha, cutoff)
+            assert np.max(np.abs(displacement_matrix(alpha, cutoff).matrix - expected)) < 1e-13
+
+    @pytest.mark.parametrize("cutoff", [16, 64, 128])
+    def test_coherent_state(self, special, cutoff):
+        ns = np.arange(cutoff)
+        for alpha in random_amplitudes(np.random.default_rng(cutoff), 8, math.sqrt(cutoff / 4.0)):
+            alpha = complex(alpha)
+            log_fact = special.gammaln(ns + 1.0)
+            log_mag = -0.5 * abs(alpha) ** 2 + ns * math.log(abs(alpha)) - 0.5 * log_fact
+            expected = np.exp(log_mag) * np.exp(1j * ns * np.angle(alpha))
+            if 1.0 - np.sum(np.abs(expected) ** 2) < 1e-12:  # the library renormalizes
+                expected = expected / np.linalg.norm(expected)
+            got = coherent_state(alpha, cutoff).amplitudes
+            assert np.max(np.abs(got - expected)) < 1e-13

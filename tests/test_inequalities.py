@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handcoded import bell_wigner_values, ch_value, chsh_value, j_value
+from handcoded import bell_wigner_values, ch_value, chsh_value, evaluate_terms, j_value
 from noonbell import (
     catalog,
     catalog_json,
@@ -291,6 +291,57 @@ class TestGenericEvaluator:
         pa_, pb_, pab1 = click_probabilities(1, 0.4, 0.0)
         assert value == pytest.approx(ch_value(1, [0.4, 0.0, 0.0, -0.4]), abs=1e-14)
         assert 0.0 <= pab1 <= min(pa_, pb_) + 1e-12
+
+
+class TestFactoredEvaluator:
+    """``evaluate_functional`` computes each setting's factors once and
+    combines them per term; its values are bit for bit those of the
+    term-by-term evaluation through the public correlators."""
+
+    NS = (1, 2, 3, 7, 20, 21, 25, 60)
+
+    @staticmethod
+    def batch(rng, arity, count=129):
+        settings = random_settings(rng, count, arity, 5.0)
+        settings[:8] *= 0.1
+        settings[8] = 0.0
+        return settings
+
+    @pytest.mark.parametrize("name", sorted(CAT))
+    @pytest.mark.parametrize("n", NS)
+    def test_bitwise_equal_to_term_by_term(self, name, n):
+        functional = CAT[name]
+        k = functional.num_settings
+        settings = self.batch(np.random.default_rng(n), k)
+        factored = evaluate_functional(functional, n, settings)
+        oracle = evaluate_terms(functional, n, [settings[:, i] for i in range(k)], (False,) * k)
+        assert np.array_equal(factored, np.asarray(oracle, dtype=float))
+
+    @pytest.mark.parametrize("name", sorted(CAT))
+    @pytest.mark.parametrize("n", NS)
+    def test_row_independent_of_batch(self, name, n):
+        functional = CAT[name]
+        settings = self.batch(np.random.default_rng(100 + n), functional.num_settings)
+        batch = evaluate_functional(functional, n, settings)
+        grid = evaluate_functional(functional, n, settings[:12].reshape(3, 4, -1))
+        assert np.array_equal(grid.reshape(-1), batch[:12])
+        for row in (0, 8, 9, 64, 128):
+            assert evaluate_functional(functional, n, settings[row]) == batch[row]
+
+    @pytest.mark.parametrize("name", sorted(CAT))
+    def test_limit_bitwise_equal_to_term_by_term(self, name):
+        functional = CAT[name]
+        k = functional.num_settings
+        rng = np.random.default_rng(7)
+        for n in self.NS:
+            settings = self.batch(rng, k, 9)
+            for row in settings:
+                mask = tuple(bool(b) for b in rng.random(k) < 0.5)
+                # A batch of one, as the library evaluates a single vector.
+                per_setting = [row[None, i] for i in range(k)]
+                total = evaluate_terms(functional, n, per_setting, mask)
+                expected = float(np.reshape(total, -1)[0])
+                assert functional_limit(functional, n, row, mask) == expected
 
 
 class TestGlobalPhaseInvariance:

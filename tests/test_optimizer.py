@@ -155,6 +155,85 @@ class TestGridScan:
             certify_with_grid(CAT["j1"], 1, r, grid_points=13)
 
 
+def _objective(functional, n):
+    """The polish objective: the functional in the minimization direction."""
+    sign = optimizer._direction_sign(functional)
+    k = functional.num_settings
+    return lambda x: -sign * evaluate_functional(functional, n, optimizer._unpack(x, k))
+
+
+class TestLockstepSimplex:
+    """Every start of the lockstep simplex follows scipy's bounded
+    Nelder-Mead exactly, and does not depend on the other starts."""
+
+    CASES = [("ch", 1), ("chsh", 1), ("j4", 1), ("j3", 2), ("chsh", 25)]
+
+    # 20000 is the default budget; 50 and 3 end starts mid-descent and before
+    # the first step, and at 200 both chsh cases run out part-way through a
+    # shrink.
+    @pytest.mark.parametrize("max_iterations", [20_000, 200, 50, 3])
+    @pytest.mark.parametrize("name,n", CASES)
+    def test_matches_scipy_per_start(self, name, n, max_iterations):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        functional = CAT[name]
+        cfg = OptimizerConfig(num_starts=8, max_iterations=max_iterations, rng_seed=3)
+        _, _, starts = optimizer._starts(functional, n, cfg)
+        objective = _objective(functional, n)
+        x, fun, nfev, nit, ok = optimizer._simplex(objective, starts, 5.0, max_iterations)
+        options = {
+            "maxiter": max_iterations,
+            "maxfev": max_iterations,
+            "fatol": optimizer._SIMPLEX_FATOL,
+            "xatol": optimizer._SIMPLEX_XATOL,
+        }
+        for i, x0 in enumerate(starts):
+            ref = scipy_optimize.minimize(
+                objective, x0, method="Nelder-Mead", bounds=[(-5.0, 5.0)] * len(x0), options=options
+            )
+            assert np.array_equal(x[i], ref.x)
+            assert (fun[i], nfev[i], nit[i], ok[i]) == (ref.fun, ref.nfev, ref.nit, ref.success)
+
+    def test_start_alone_equals_start_in_batch(self):
+        functional = CAT["chsh"]
+        _, _, starts = optimizer._starts(functional, 1, OptimizerConfig(rng_seed=5))
+        assert len(starts) == 64
+        objective = _objective(functional, 1)
+        batch = optimizer._simplex(objective, starts, 5.0, 20_000)
+        for i in (0, 1, 31, 32, 63):
+            alone = optimizer._simplex(objective, starts[i : i + 1], 5.0, 20_000)
+            for got, expected in zip(alone, batch):
+                assert np.array_equal(got[0], expected[i])
+
+
+class TestStationarity:
+    """Nelder-Mead can stall at a point that is not stationary.  At the
+    winner, a central-difference gradient of the objective vanishes on
+    interior coordinates (about 1e-7 is seen), and on coordinates at the box
+    the descent direction points out of the box."""
+
+    H = 1e-5
+
+    def gradient(self, functional, n, settings):
+        objective = _objective(functional, n)
+        rest = np.column_stack([settings[1:].real, settings[1:].imag]).ravel()
+        x = np.concatenate([[settings[0].real], rest])
+        steps = self.H * np.eye(len(x))
+        return x, (objective(x + steps) - objective(x - steps)) / (2 * self.H)
+
+    @pytest.mark.parametrize(
+        "name,radius", [("ch", 5.0), ("chsh", 5.0), ("j4", 5.0), ("j4", 0.6)]
+    )
+    def test_gradient_at_winner(self, name, radius):
+        functional = CAT[name]
+        r = optimize(functional, 1, OptimizerConfig(rng_seed=0, search_radius=radius))
+        x, grad = self.gradient(functional, 1, r.best_settings)
+        at_box = np.abs(x) >= radius * (1.0 - 1e-6)
+        assert np.all(np.abs(grad[~at_box]) < 1e-5)
+        assert np.all(-grad[at_box] * np.sign(x[at_box]) > 0.0)
+        if radius < 1.0:
+            assert np.any(at_box)
+
+
 class TestSweep:
     def test_ordering_and_seeds(self):
         cfg = OptimizerConfig(rng_seed=12, **FAST)
