@@ -140,24 +140,17 @@ class FockVector:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Dense operator on the truncated basis: a cutoff x cutoff matrix for a
-    single mode or cutoff^2 x cutoff^2 for two modes."""
+    """Dense single-mode operator on the truncated basis: a cutoff x cutoff
+    matrix."""
 
     cutoff: int
     matrix: np.ndarray
-    modes: int = 1
 
     def __post_init__(self) -> None:
-        if self.modes not in (1, 2):
-            raise ValueError("modes must be 1 or 2")
-        dim = self.cutoff**self.modes
         mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
+        if mat.shape != (self.cutoff, self.cutoff):
+            raise ValueError(f"expected a {self.cutoff}x{self.cutoff} matrix, got shape {mat.shape}")
         object.__setattr__(self, "matrix", _freeze(mat))
-
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.cutoff, self.matrix.conj().T, self.modes)
 
 
 def noon_state(n, cutoff: int) -> FockVector:
@@ -219,7 +212,7 @@ def displacement_matrix(alpha: complex, cutoff: int) -> FockOperator:
     prefactor = np.exp(0.5 * (log_fact[k_lo] - log_fact[np.maximum(m_idx, n_idx)]))
     base = np.where(m_idx >= n_idx, alpha, -np.conjugate(alpha)) ** diff
     mat = prefactor * base * math.exp(-0.5 * x) * lag
-    return FockOperator(cutoff, mat, modes=1)
+    return FockOperator(cutoff, mat)
 
 
 def oracle_q_joint(n, alpha: complex, beta: complex, cutoff: int) -> float:

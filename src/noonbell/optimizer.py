@@ -352,9 +352,9 @@ def optimize(functional: BellFunctional, p, cfg: OptimizerConfig | None = None) 
     # exactly on a grid point can never be lost to simplex wander.
     candidates = np.vstack([polished, grid_x])
     scored = sign * evaluate_functional(functional, p, _unpack(candidates, k))
-    best_settings = _unpack(candidates[_ranked(scored, candidates, 1)[0]], k)
-
-    best_value = float(evaluate_functional(functional, p, best_settings))
+    winner = _ranked(scored, candidates, 1)[0]
+    best_settings = _unpack(candidates[winner], k)
+    best_value = float(sign * scored[winner])
     threshold = cfg.search_radius * (1.0 - _BOUNDARY_RTOL)
     coord_peaks = np.maximum(np.abs(best_settings.real), np.abs(best_settings.imag))
     boundary_mask = coord_peaks >= threshold

@@ -149,10 +149,10 @@ def _j4_limit() -> CheckResult:
 
 def _marginal_normalization() -> CheckResult:
     worst = 0.0
-    for n in (1, 2):
+    for n in (1, 2, 100):
         for kind in ("q-marginal", "w-marginal"):
             worst = max(worst, abs(marginals.marginal_integral(kind, n) - 1.0))
-    return _check("marginal-normalization", 1e-6, worst, "both marginal kinds, N = 1..2")
+    return _check("marginal-normalization", 1e-6, worst, "both marginal kinds, N = 1, 2, 100")
 
 
 def _parity_bounds() -> CheckResult:

@@ -1,14 +1,21 @@
-"""Hand-coded Bell combinations: the test oracle for the generic evaluator.
+"""Hand-coded Bell combinations and marginals: test oracles for the library.
 
-Each function spells out one catalog functional term by term, straight from
-its defining formula, so ``evaluate_functional`` (which reads the terms from
-the catalog data) can be checked against an independent transcription.
+Each Bell function spells out one catalog functional term by term, straight
+from its defining formula, so ``evaluate_functional`` (which reads the terms
+from the catalog data) can be checked against an independent transcription.
 Settings arrays broadcast like the library's, with settings in the last axis.
+
+The marginal oracles are the 2-D Gauss-Hermite rule over (x, u), which calls
+the correlators at every node pair, and the Hermite-function closed form of
+the Wigner marginal.
 """
+
+import math
 
 import numpy as np
 
-from noonbell import catalog, parity_corr, q_joint, q_single_a, validate_settings
+from noonbell import catalog, parity_corr, q_joint, q_single_a, validate_settings, wigner
+from noonbell.marginals import _axis_rule
 
 _CATALOG = catalog()
 
@@ -157,3 +164,45 @@ def evaluate_terms(functional, p, per_setting, inf_mask):
             term = 1.0 - q_of(i) - q_of(j) + qab
         total = total + coeff * term
     return total
+
+
+def _kind_parts(kind: str):
+    if kind == "q-marginal":
+        return (lambda p, a, b: q_joint(p, a, b) / math.pi**2), 1.0
+    return wigner, 2.0
+
+
+def marginal_value_2d(kind: str, p, y, v, order: int):
+    """Integral over (x, u) at fixed (y, v); y and v may be arrays and are
+    broadcast against each other."""
+    func, rate = _kind_parts(kind)
+    x, w = _axis_rule(order, rate)
+    y = np.asarray(y, dtype=float)
+    v = np.asarray(v, dtype=float)
+    yb, vb = np.broadcast_arrays(y, v)
+    alpha = x[:, np.newaxis] + 1j * yb[..., np.newaxis, np.newaxis]  # (..., x-node, 1)
+    beta = x[np.newaxis, :] + 1j * vb[..., np.newaxis, np.newaxis]  # (..., 1, u-node)
+    vals = func(p, alpha, beta)
+    out = np.einsum("...ij,i,j->...", vals, w, w)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def hermite_functions(n: int, y):
+    """phi_0(y) .. phi_n(y), phi_k(y) = (2/pi)^(1/4) (2^k k!)^(-1/2)
+    H_k(sqrt(2) y) e^(-y^2), by the stable three-term recurrence
+    phi_(k+1) = (2 y phi_k - sqrt(k) phi_(k-1)) / sqrt(k+1)."""
+    y = np.asarray(y, dtype=float)
+    phis = [(2.0 / math.pi) ** 0.25 * np.exp(-y * y)]
+    prev = np.zeros_like(y)
+    for k in range(n):
+        phis.append((2.0 * y * phis[k] - math.sqrt(k) * prev) / math.sqrt(k + 1))
+        prev = phis[k]
+    return phis
+
+
+def w_marginal_closed_form(n: int, y, v):
+    """Wigner marginal (phi_N(y) phi_0(v) - phi_0(y) phi_N(v))^2 / 2."""
+    phi_y, phi_v = hermite_functions(n, y), hermite_functions(n, v)
+    return 0.5 * (phi_y[n] * phi_v[0] - phi_y[0] * phi_v[n]) ** 2

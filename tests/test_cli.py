@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from handcoded import bell_wigner_values
-from noonbell import cli, correlators, optimizer
+from handcoded import bell_wigner_values, w_marginal_closed_form
+from noonbell import cli, correlators, marginals, optimizer
 
 
 def run_cli(argv, capsys):
@@ -234,6 +234,24 @@ class TestMarginal:
         assert code == 0
         text = svg.read_text()
         assert "<desc>linear color map; min=" in text
+
+    def test_forty_photons_match_hermite_closed_form(self, capsys):
+        # N = 40 was the first photon number past the old fixed order
+        code, out, _ = run_cli(["marginal", "w", "--n", "40", "--count", "64"], capsys)
+        assert code == 0
+        values = np.array([[float(t) for t in ln.split(",")] for ln in out.splitlines()[2:]])
+        assert values.shape == (64, 64) and values.min() >= -1e-12
+        axis = np.linspace(-3.0, 3.0, 64)
+        expected = w_marginal_closed_form(40, axis[:, np.newaxis], axis[np.newaxis, :])
+        # the CSV prints 11 significant digits
+        np.testing.assert_allclose(values, expected, rtol=1e-10, atol=1e-13)
+
+    def test_photon_number_above_limit_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(marginals, "_marginal_value", None)
+        limit = marginals._MAX_N
+        code, out, err = run_cli(["marginal", "w", "--n", str(limit + 1)], capsys)
+        assert code == 2
+        assert out == "" and f"photon number <= {limit}, got {limit + 1}" in err
 
     def test_count_too_small_exit_2(self, capsys):
         code, _, err = run_cli(["marginal", "w", "--n", "1", "--count", "8"], capsys)
@@ -518,6 +536,36 @@ class TestReadmeFlagTable:
             elif action.option_strings[-1] != "--help":
                 declared.append(" ".join(filter(None, (action.option_strings[-1], choices))))
         assert sorted(flags) == sorted(declared)
+
+
+class TestReadmeLimits:
+    """The limits and unit costs the README states are the ones the code
+    enforces and reports."""
+
+    @staticmethod
+    def paragraph():
+        text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        return next(" ".join(p.split()) for p in text.split("\n\n") if "simplex descents" in p)
+
+    def test_marginal_limits(self):
+        text = self.paragraph()
+        count = re.search(r"`marginal --count` is limited to (\d+) points per axis", text)
+        assert int(count.group(1)) == marginals._MAX_GRID_COUNT
+        n = re.search(r"`marginal --n` is limited to (\d+)", text)
+        assert int(n.group(1)) == marginals._MAX_N
+
+    def test_search_limits(self):
+        text = self.paragraph()
+        grid = re.search(r"limited to ([\d.e]+) points at about ([\d.]+) µs each", text)
+        assert float(grid.group(1)) == optimizer._MAX_GRID_POINTS
+        assert float(grid.group(2)) * 1e-6 == pytest.approx(optimizer._GRID_S_PER_POINT)
+        starts = re.search(r"`--starts` is limited to (\d+) simplex descents of about ([\d.]+) s", text)
+        assert int(starts.group(1)) == optimizer._MAX_STARTS
+        assert float(starts.group(2)) == optimizer._POLISH_S_PER_START
+        # k = 4 settings: 2k - 1 = 7 grid coordinates
+        largest = re.search(r"`--grid` may be at most (\d+) for the four-setting", text)
+        g = int(largest.group(1))
+        assert g**7 <= optimizer._MAX_GRID_POINTS < (g + 1) ** 7
 
 
 class TestCatalogCommand:

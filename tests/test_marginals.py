@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from handcoded import marginal_value_2d, w_marginal_closed_form
 from noonbell import marginals
 from noonbell import (
     correlation_coefficient,
@@ -118,18 +119,22 @@ class TestNonlinearDependence:
         assert factored_l1_distance(kind, n) > 1e-3
 
     @pytest.mark.parametrize("kind", ["q-marginal", "w-marginal"])
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 10, 40])
     def test_stated_accuracy(self, kind, n, monkeypatch):
-        # |f - g| has kinks, so the Gauss-Hermite rule is not exact for it.
-        # Orders above 56 would need order^4 complex values (10 GB at 160).
+        # |f - g| has kinks, so the trapezoid sum converges slowly; the
+        # docstring states 3.2e-4 against twice the points for N <= 40
+        # (worst seen 3.15e-4, w N = 40)
         value = factored_l1_distance(kind, n)
-        grid = density_grid(kind, n, 6.0, 201)
-        h = grid.y_axis[1] - grid.y_axis[0]
-        f = grid.values
-        fine = np.abs(f - np.outer(f.sum(axis=1) * h, f.sum(axis=0) * h)).sum() * h * h
-        assert abs(value - fine) < 5e-3
-        monkeypatch.setattr(marginals, "_ORDER", 56)
-        assert abs(factored_l1_distance(kind, n) - value) < 1e-2
+        monkeypatch.setattr(marginals, "_L1_POINTS", 1601)
+        assert abs(factored_l1_distance(kind, n) - value) < 3.2e-4
+
+    @pytest.mark.parametrize("kind,n,converged", [
+        ("q-marginal", 2, 0.2535), ("w-marginal", 10, 0.6803), ("w-marginal", 40, 0.778),
+    ])
+    def test_against_converged_trapezoid(self, kind, n, converged):
+        # values of a converged uniform trapezoid sum; the Gauss-Hermite rule
+        # this replaced gave 0.2573, 0.6538 and 0.956
+        assert factored_l1_distance(kind, n) == pytest.approx(converged, abs=1e-3)
 
 
 class TestDensityGrid:
@@ -167,7 +172,9 @@ class TestDensityGrid:
     def test_count_upper_bound_before_any_work(self, monkeypatch):
         # the check runs before the first quadrature call, so nothing is allocated
         monkeypatch.setattr(marginals, "_marginal_value", None)
-        with pytest.raises(ValueError, match=r"count must be <= 1024, got 100000: about 2560 MB"):
+        with pytest.raises(
+            ValueError, match=r"count must be <= 1024, got 100000: 1.00e\+10 values, 80000 MB"
+        ):
             density_grid("w-marginal", 1, 3.0, 100_000)
         with pytest.raises(ValueError, match="got 1025"):
             density_grid("q-marginal", 1, 3.0, 1025)
@@ -208,3 +215,67 @@ class TestGoldenGrids:
         fresh = density_grid(kind, n, range_, count)
         assert golden.kind == kind and golden.n == n and golden.count == count
         assert np.max(np.abs(fresh.values - golden.values)) < 1e-9
+
+
+class TestSeparableForm:
+    """The one-axis-at-a-time integrals against the 2-D Gauss-Hermite rule
+    over (x, u) and against the Hermite-function closed form."""
+
+    @pytest.mark.parametrize("kind", ["q-marginal", "w-marginal"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 20, 25, 39])
+    def test_matches_2d_rule(self, kind, n):
+        axis = np.linspace(-3.0, 3.0, 32)
+        y, v = axis[:, np.newaxis], axis[np.newaxis, :]
+        separable = marginals._marginal_value(kind, n, y, v, 40)
+        assert np.max(np.abs(separable - marginal_value_2d(kind, n, y, v, 40))) < 1e-14
+
+    @pytest.mark.parametrize("kind", ["q-marginal", "w-marginal"])
+    @pytest.mark.parametrize("n", [40, 100, 200])
+    def test_matches_2d_rule_at_derived_order(self, kind, n):
+        y = np.array([0.0, 0.3, 2.0, -1.7])
+        v = np.array([0.0, -1.2, 0.5, -2.4])
+        separable = marginals._marginal_value(kind, n, y, v, n + 2)
+        assert np.max(np.abs(separable - marginal_value_2d(kind, n, y, v, n + 2))) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 5, 39, 40, 100, marginals._MAX_N])
+    def test_w_against_hermite_closed_form(self, n):
+        grid = density_grid("w-marginal", n, 3.0 + math.sqrt(n), 64)
+        y, v = grid.y_axis[:, np.newaxis], grid.y_axis[np.newaxis, :]
+        assert np.max(np.abs(grid.values - w_marginal_closed_form(n, y, v))) < 5e-14
+        assert marginal_w(n, 0.4, -1.1) == pytest.approx(
+            float(w_marginal_closed_form(n, 0.4, -1.1)), abs=5e-14
+        )
+
+    @pytest.mark.parametrize("kind", ["q-marginal", "w-marginal"])
+    @pytest.mark.parametrize("n", [39, 40, 60, 100, marginals._MAX_N])
+    def test_unit_mass_up_to_the_limit(self, kind, n):
+        assert abs(marginal_integral(kind, n) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n", [39, 40, 60, 100, marginals._MAX_N])
+    def test_w_grid_nonnegative_up_to_the_limit(self, n):
+        grid = density_grid("w-marginal", n, 3.0 + math.sqrt(n), 64)
+        assert grid.values.min() >= -1e-12
+
+    @pytest.mark.parametrize("kind", ["q-marginal", "w-marginal"])
+    def test_finite_far_outside_the_support(self, kind):
+        # the factors overflow only where the damping underflows to 0
+        grid = density_grid(kind, marginals._MAX_N, 1e3, 16)
+        assert np.all(np.isfinite(grid.values))
+        assert np.isfinite(factored_l1_distance(kind, marginals._MAX_N))
+
+
+class TestPhotonNumberLimit:
+    @pytest.mark.parametrize("call", [
+        lambda n: marginal_q(n, 0.0, 0.0),
+        lambda n: marginal_w(n, 0.0, 0.0),
+        lambda n: marginal_integral("q", n),
+        lambda n: correlation_coefficient("w", n),
+        lambda n: factored_l1_distance("q", n),
+        lambda n: density_grid("w", n, 3.0, 64),
+    ])
+    def test_above_the_limit_before_any_work(self, monkeypatch, call):
+        monkeypatch.setattr(marginals, "_marginal_value", None)
+        monkeypatch.setattr(marginals, "_axis_rule", None)
+        limit = marginals._MAX_N
+        with pytest.raises(ValueError, match=f"photon number <= {limit}, got {limit + 1}"):
+            call(limit + 1)

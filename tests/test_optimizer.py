@@ -68,6 +68,13 @@ class TestOptimize:
         re_eval = evaluate_functional(CAT["j3"], 2, r.best_settings)
         assert re_eval == pytest.approx(r.best_value, abs=1e-10)
 
+    @pytest.mark.parametrize("name", sorted(CAT))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_best_value_is_the_winners_evaluation(self, name, n):
+        # the winner's score from the batched final pick, not a re-evaluation
+        r = optimize(CAT[name], n, OptimizerConfig(rng_seed=5, num_starts=4, max_iterations=300))
+        assert r.best_value == float(evaluate_functional(CAT[name], n, r.best_settings))
+
     def test_determinism_bitwise(self):
         a = optimize(CAT["ch"], 2, OptimizerConfig(rng_seed=42, **FAST))
         b = optimize(CAT["ch"], 2, OptimizerConfig(rng_seed=42, **FAST))
