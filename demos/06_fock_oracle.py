@@ -1,7 +1,7 @@
 """The truncated Fock-space oracle: brute force against every closed form.
 
 Nothing here uses the analytic expressions -- states are dense coefficient
-vectors, displacements are matrices, expectation values are linear algebra.
+arrays, displacements are matrices, expectation values are linear algebra.
 Agreement with the closed-form correlators to ~1e-12 on random settings is
 the strongest correctness evidence the library has, because the two routes
 share no code.
@@ -50,10 +50,10 @@ print("=== displacement matrices ===")
 alpha = 0.9 - 0.6j
 d = displacement_matrix(alpha, 48)
 coh = coherent_state(alpha, 48)
-print(f"  D(a)|0> equals the coherent state: {np.max(np.abs(d.matrix[:, 0] - coh.amplitudes)):.2e}")
+print(f"  D(a)|0> equals the coherent state: {np.max(np.abs(d[:, 0] - coh)):.2e}")
 dm = displacement_matrix(-alpha, 48)
 block = 12
-defect = np.max(np.abs((d.matrix @ dm.matrix)[:block, :block] - np.eye(block)))
+defect = np.max(np.abs((d @ dm)[:block, :block] - np.eye(block)))
 print(f"  D(a) D(-a) = 1 on the lowest {block}x{block} block: defect {defect:.2e}")
 
 print()
@@ -62,7 +62,7 @@ one = noon_state(1, 16)
 for n in (2, 3, 5):
     mapped = apply_swap_unitary(n, one)
     target = noon_state(n, 16)
-    err = np.max(np.abs(mapped.amplitudes - target.amplitudes))
+    err = np.max(np.abs(mapped - target))
     print(f"  (U x U) |one-photon state> -> |{n}-photon state>: error {err:.1e}")
 print("  A local swap of |1> and |n> in each arm maps the one-photon state")
 print("  exactly onto the n-photon one, so any Bell test whose violation")

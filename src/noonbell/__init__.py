@@ -26,8 +26,6 @@ from noonbell.correlators import (
     wigner,
 )
 from noonbell.fock import (
-    FockOperator,
-    FockVector,
     TruncationError,
     apply_swap_unitary,
     coherent_state,
@@ -36,7 +34,6 @@ from noonbell.fock import (
     noon_state,
     oracle_parity_corr,
     oracle_q_joint,
-    product_state,
 )
 from noonbell.inequalities import (
     BellFunctional,
@@ -82,12 +79,9 @@ __all__ = [
     "click_probabilities",
     "parity_corr",
     "wigner",
-    "FockVector",
-    "FockOperator",
     "TruncationError",
     "noon_state",
     "coherent_state",
-    "product_state",
     "displacement_matrix",
     "oracle_q_joint",
     "oracle_parity_corr",

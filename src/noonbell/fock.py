@@ -1,32 +1,30 @@
 """Truncated two-mode Fock-space simulator.
 
 Brute-force reference implementation used to cross-check every closed form in
-:mod:`noonbell.correlators`: states are dense coefficient vectors over the
-number basis, displacements are built from the associated-Laguerre matrix
-elements, and expectation values are plain linear algebra.  Cutoffs are kept
-small (<= 128 per mode), so dense storage is simpler and fast enough.
+:mod:`noonbell.correlators`.  States and operators are plain complex ndarrays
+over the number basis: a single-mode state is a vector indexed by n, a
+two-mode state a (cutoff, cutoff) matrix indexed by (n_a, n_b), and a
+single-mode operator a (cutoff, cutoff) matrix.  Displacements are built from
+the associated-Laguerre matrix elements, and expectation values are plain
+linear algebra.  Cutoffs are kept small (<= 128 per mode), so dense storage
+is simpler and fast enough.
 
-All values are immutable after construction and every operation is a pure
-function of its inputs.
+Every returned array is read-only, and every operation is a pure function of
+its inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from noonbell.correlators import photon_number
 
 __all__ = [
     "TruncationError",
-    "FockVector",
-    "FockOperator",
     "default_cutoff",
     "noon_state",
     "coherent_state",
-    "product_state",
     "displacement_matrix",
     "oracle_q_joint",
     "oracle_parity_corr",
@@ -92,79 +90,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class FockVector:
-    """State vector over the truncated number basis.
-
-    ``modes == 1`` stores ``cutoff`` coefficients indexed by n;
-    ``modes == 2`` stores ``cutoff**2`` coefficients indexed by
-    ``n_a * cutoff + n_b``.  Coefficients for n >= cutoff are implicitly zero.
-    """
-
-    cutoff: int
-    amplitudes: np.ndarray
-    modes: int = 2
-
-    def __post_init__(self) -> None:
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
-        if self.modes not in (1, 2):
-            raise ValueError("modes must be 1 or 2")
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.cutoff**self.modes,):
-            raise ValueError(
-                f"expected {self.cutoff**self.modes} amplitudes, got shape {amps.shape}"
-            )
-        object.__setattr__(self, "amplitudes", _freeze(amps))
-
-    def amplitude(self, *ns: int) -> complex:
-        """Coefficient of |n> (one mode) or |n_a, n_b> (two modes)."""
-        if len(ns) != self.modes:
-            raise ValueError(f"expected {self.modes} indices, got {len(ns)}")
-        idx = 0
-        for n in ns:
-            if not 0 <= n < self.cutoff:
-                return 0.0 + 0.0j
-            idx = idx * self.cutoff + n
-        return complex(self.amplitudes[idx])
-
-    def as_matrix(self) -> np.ndarray:
-        """Two-mode coefficients reshaped to (n_a, n_b)."""
-        if self.modes != 2:
-            raise ValueError("as_matrix is only defined for two-mode vectors")
-        return self.amplitudes.reshape(self.cutoff, self.cutoff)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
-class FockOperator:
-    """Dense single-mode operator on the truncated basis: a cutoff x cutoff
-    matrix."""
-
-    cutoff: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        if mat.shape != (self.cutoff, self.cutoff):
-            raise ValueError(f"expected a {self.cutoff}x{self.cutoff} matrix, got shape {mat.shape}")
-        object.__setattr__(self, "matrix", _freeze(mat))
-
-
-def noon_state(n, cutoff: int) -> FockVector:
-    """(|n,0> - |0,n>)/sqrt(2) on the truncated two-mode basis."""
+def noon_state(n, cutoff: int) -> np.ndarray:
+    """(|n,0> - |0,n>)/sqrt(2) as a (cutoff, cutoff) matrix indexed by
+    (n_a, n_b)."""
     n = photon_number(n)
     if cutoff <= n:
         raise ValueError(f"cutoff must exceed the photon number: {cutoff} <= {n}")
-    amps = np.zeros(cutoff * cutoff, dtype=np.complex128)
-    amps[n * cutoff + 0] = 1.0 / math.sqrt(2.0)
-    amps[0 * cutoff + n] = -1.0 / math.sqrt(2.0)
-    return FockVector(cutoff, amps, modes=2)
+    psi = np.zeros((cutoff, cutoff), dtype=np.complex128)
+    psi[n, 0] = 1.0 / math.sqrt(2.0)
+    psi[0, n] = -1.0 / math.sqrt(2.0)
+    return _freeze(psi)
 
 
-def coherent_state(alpha: complex, cutoff: int) -> FockVector:
+def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
     """Single-mode coherent state, component n = exp(-|a|^2/2) a^n / sqrt(n!).
 
     The truncated vector is renormalized only when the discarded tail mass is
@@ -176,23 +114,16 @@ def coherent_state(alpha: complex, cutoff: int) -> FockVector:
     if alpha == 0:
         amps = np.zeros(cutoff, dtype=np.complex128)
         amps[0] = 1.0
-        return FockVector(cutoff, amps, modes=1)
+        return _freeze(amps)
     log_mag = -0.5 * abs(alpha) ** 2 + ns * math.log(abs(alpha)) - 0.5 * _log_factorials(cutoff)
     amps = np.exp(log_mag) * np.exp(1j * ns * np.angle(alpha))
     tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
     if tail < _RENORM_TAIL:
         amps = amps / np.linalg.norm(amps)
-    return FockVector(cutoff, amps, modes=1)
+    return _freeze(amps)
 
 
-def product_state(a: FockVector, b: FockVector) -> FockVector:
-    """Two-mode product |a> (x) |b> of two single-mode vectors."""
-    if a.modes != 1 or b.modes != 1 or a.cutoff != b.cutoff:
-        raise ValueError("product_state needs two single-mode vectors with equal cutoff")
-    return FockVector(a.cutoff, np.kron(a.amplitudes, b.amplitudes), modes=2)
-
-
-def displacement_matrix(alpha: complex, cutoff: int) -> FockOperator:
+def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     """Matrix elements <m|D(alpha)|n> from the associated-Laguerre closed form
 
         <m|D|n> = sqrt(n!/m!) alpha^(m-n) exp(-|a|^2/2) L_n^(m-n)(|a|^2)   (m >= n)
@@ -212,7 +143,7 @@ def displacement_matrix(alpha: complex, cutoff: int) -> FockOperator:
     prefactor = np.exp(0.5 * (log_fact[k_lo] - log_fact[np.maximum(m_idx, n_idx)]))
     base = np.where(m_idx >= n_idx, alpha, -np.conjugate(alpha)) ** diff
     mat = prefactor * base * math.exp(-0.5 * x) * lag
-    return FockOperator(cutoff, mat)
+    return _freeze(mat.astype(np.complex128, copy=False))
 
 
 def oracle_q_joint(n, alpha: complex, beta: complex, cutoff: int) -> float:
@@ -222,15 +153,15 @@ def oracle_q_joint(n, alpha: complex, beta: complex, cutoff: int) -> float:
         raise ValueError(f"cutoff must exceed the photon number: {cutoff} <= {n}")
     _check_guard(alpha, cutoff)
     _check_guard(beta, cutoff)
-    psi = noon_state(n, cutoff).as_matrix()
-    ca = coherent_state(alpha, cutoff).amplitudes
-    cb = coherent_state(beta, cutoff).amplitudes
+    psi = noon_state(n, cutoff)
+    ca = coherent_state(alpha, cutoff)
+    cb = coherent_state(beta, cutoff)
     overlap = ca.conj() @ psi @ cb.conj()
     return float(abs(overlap) ** 2)
 
 
 def _displaced_parity(alpha: complex, cutoff: int) -> np.ndarray:
-    d = displacement_matrix(alpha, cutoff).matrix
+    d = displacement_matrix(alpha, cutoff)
     parity = np.where(np.arange(cutoff) % 2 == 0, 1.0, -1.0)
     return (d * parity) @ d.conj().T
 
@@ -244,21 +175,22 @@ def oracle_parity_corr(n, alpha: complex, beta: complex, cutoff: int) -> float:
         raise TruncationError(bigger, cutoff, required)
     ma = _displaced_parity(alpha, cutoff)
     mb = _displaced_parity(beta, cutoff)
-    psi = noon_state(n, cutoff).as_matrix()
+    psi = noon_state(n, cutoff)
     value = np.vdot(psi, ma @ psi @ mb.T)
     return float(value.real)
 
 
-def apply_swap_unitary(n, state: FockVector) -> FockVector:
-    """Apply U (x) U where U swaps |1> and |n> in each mode and fixes every
-    other number state.  Sends the one-photon state to the n-photon one, and
-    is its own inverse."""
+def apply_swap_unitary(n, state: np.ndarray) -> np.ndarray:
+    """Apply U to every mode of ``state`` (a single-mode vector or a two-mode
+    matrix), where U swaps |1> and |n> and fixes every other number state.
+    Sends the one-photon state to the n-photon one, and is its own inverse."""
     n = photon_number(n)
-    if state.cutoff <= n:
-        raise ValueError(f"cutoff must exceed the photon number: {state.cutoff} <= {n}")
-    perm = np.arange(state.cutoff)
+    state = np.asarray(state)
+    if state.ndim not in (1, 2) or len(set(state.shape)) != 1:
+        raise ValueError(f"expected a vector or a square matrix, got shape {state.shape}")
+    cutoff = state.shape[0]
+    if cutoff <= n:
+        raise ValueError(f"cutoff must exceed the photon number: {cutoff} <= {n}")
+    perm = np.arange(cutoff)
     perm[1], perm[n] = perm[n], perm[1]
-    if state.modes == 1:
-        return FockVector(state.cutoff, state.amplitudes[perm], modes=1)
-    mat = state.as_matrix()[perm][:, perm]
-    return FockVector(state.cutoff, mat.reshape(-1), modes=2)
+    return _freeze(state[np.ix_(*[perm] * state.ndim)])

@@ -343,15 +343,17 @@ def optimize(functional: BellFunctional, p, cfg: OptimizerConfig | None = None) 
     def objective(x):
         return -sign * evaluate_functional(functional, p, _unpack(x, k))
 
-    polished, _, _, _, converged = _simplex(
+    polished, polished_values, _, _, converged = _simplex(
         objective, starts, cfg.search_radius, cfg.max_iterations
     )
     starts_converged = int(np.sum(converged))
 
     # The raw grid candidates stay in the pool so a plateau witness sitting
-    # exactly on a grid point can never be lost to simplex wander.
+    # exactly on a grid point can never be lost to simplex wander.  Both
+    # pools carry their values already: a row's value does not depend on the
+    # batch it was evaluated in.
     candidates = np.vstack([polished, grid_x])
-    scored = sign * evaluate_functional(functional, p, _unpack(candidates, k))
+    scored = np.concatenate([-polished_values, grid_scored])
     winner = _ranked(scored, candidates, 1)[0]
     best_settings = _unpack(candidates[winner], k)
     best_value = float(sign * scored[winner])

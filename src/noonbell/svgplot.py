@@ -26,34 +26,20 @@ def _escape(text: str) -> str:
     )
 
 
-def _diverging_color(t: float) -> str:
-    """Blue -> white -> red over t in [0, 1]."""
-    t = min(max(t, 0.0), 1.0)
-    if t < 0.5:
-        u = t / 0.5
-        r, g, b = 40 + 215 * u, 60 + 195 * u, 150 + 105 * u
-    else:
-        u = (t - 0.5) / 0.5
-        r, g, b = 255, 255 - 195 * u, 255 - 215 * u
-    return f"rgb({int(r)},{int(g)},{int(b)})"
+# Blue -> white -> red; channels truncate to integers.
+_DIVERGING = np.array([(40, 60, 150), (255, 255, 255), (255, 60, 40)], dtype=float)
+# Dark blue -> yellow, a compact viridis-like ramp; channels round half to even.
+_SEQUENTIAL = np.array(
+    [(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37)], dtype=float
+)
 
 
-def _sequential_color(t: float) -> str:
-    """Dark blue -> yellow, a compact viridis-like ramp."""
-    t = min(max(t, 0.0), 1.0)
-    anchors = [
-        (68, 1, 84),
-        (59, 82, 139),
-        (33, 145, 140),
-        (94, 201, 98),
-        (253, 231, 37),
-    ]
-    pos = t * (len(anchors) - 1)
-    i = min(int(pos), len(anchors) - 2)
-    u = pos - i
-    c0, c1 = anchors[i], anchors[i + 1]
-    rgb = tuple(int(round(a + (b - a) * u)) for a, b in zip(c0, c1))
-    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+def _ramp(t: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Piecewise-linear colour channels (..., 3) for t in [0, 1], clipped."""
+    pos = np.clip(t, 0.0, 1.0) * (len(anchors) - 1)
+    i = np.minimum(pos.astype(int), len(anchors) - 2)
+    u = (pos - i)[..., None]
+    return anchors[i] + (anchors[i + 1] - anchors[i]) * u
 
 
 def heatmap_svg(
@@ -66,7 +52,8 @@ def heatmap_svg(
     """Render a square matrix as a heatmap with a linear color map.
 
     Rows are the y axis (drawn bottom-up), columns the v axis.  The value
-    range used by the color map is recorded in a <desc> element.
+    range used by the color map is recorded in a <desc> element.  A constant
+    grid is drawn in the map's first colour.
     """
     values = np.asarray(values, dtype=float)
     count = values.shape[0]
@@ -77,10 +64,13 @@ def heatmap_svg(
     if diverging:
         peak = max(abs(vmin), abs(vmax), 1e-300)
         lo, hi = -peak, peak
-        color = _diverging_color
     else:
         lo, hi = vmin, max(vmax, vmin + 1e-300)
-        color = _sequential_color
+    t = (values - lo) / (hi - lo) if hi > lo else np.zeros_like(values)
+    rgb = _ramp(t, _DIVERGING) if diverging else np.rint(_ramp(t, _SEQUENTIAL))
+    colours, which = np.unique(rgb.astype(int) @ [1 << 16, 1 << 8, 1], return_inverse=True)
+    which = which.reshape(values.shape)
+    fills = [f"rgb({c >> 16},{(c >> 8) & 255},{c & 255})" for c in colours.tolist()]
     margin, size = 46.0, 480.0
     cell = size / count
     width = margin + size + 14.0
@@ -98,15 +88,12 @@ def heatmap_svg(
             f'font-size="13" {_FONT}>{_escape(title)}</text>\n'
         )
     top = margin / 2 + 4
-    for i in range(count):
-        for j in range(count):
-            t = (values[i, j] - lo) / (hi - lo)
-            x = margin + j * cell
-            y = top + (count - 1 - i) * cell
-            buf.write(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell + 0.35)}" '
-                f'height="{_fmt(cell + 0.35)}" fill="{color(t)}"/>\n'
-            )
+    steps = np.arange(count) * cell
+    xs = [f'<rect x="{_fmt(x)}" y="' for x in (margin + steps).tolist()]
+    side = _fmt(cell + 0.35)
+    for i, y in enumerate((top + steps[::-1]).tolist()):
+        tail = f'{_fmt(y)}" width="{side}" height="{side}" fill="'
+        buf.write("".join([f'{x}{tail}{fills[k]}"/>\n' for x, k in zip(xs, which[i].tolist())]))
     axis_y = top + size + 14
     for frac, val in ((0.0, y_min), (0.5, 0.5 * (y_min + y_max)), (1.0, y_max)):
         x = margin + frac * size

@@ -99,8 +99,8 @@ def _displacement_unitarity() -> CheckResult:
     block = cutoff // 4
     worst = 0.0
     for alpha in (0.7, 1.3 + 0.4j, 2.0, -1.1j):
-        d_plus = fock.displacement_matrix(alpha, cutoff).matrix
-        d_minus = fock.displacement_matrix(-alpha, cutoff).matrix
+        d_plus = fock.displacement_matrix(alpha, cutoff)
+        d_minus = fock.displacement_matrix(-alpha, cutoff)
         product = (d_plus @ d_minus)[:block, :block]
         worst = max(worst, float(np.max(np.abs(product - np.eye(block)))))
     return _check(
@@ -116,10 +116,10 @@ def _swap_unitary() -> CheckResult:
     for n in range(2, 5):
         mapped = fock.apply_swap_unitary(n, fock.noon_state(1, 16))
         target = fock.noon_state(n, 16)
-        worst = max(worst, float(np.max(np.abs(mapped.amplitudes - target.amplitudes))))
+        worst = max(worst, float(np.max(np.abs(mapped - target))))
         twice = fock.apply_swap_unitary(n, mapped)
         source = fock.noon_state(1, 16)
-        worst = max(worst, float(np.max(np.abs(twice.amplitudes - source.amplitudes))))
+        worst = max(worst, float(np.max(np.abs(twice - source))))
     return _check("swap-unitary", 1e-12, worst, "maps the 1-photon state to n = 2..4; involution")
 
 

@@ -8,14 +8,19 @@ Settings arrays broadcast like the library's, with settings in the last axis.
 The marginal oracles are the 2-D Gauss-Hermite rule over (x, u), which calls
 the correlators at every node pair, and the Hermite-function closed form of
 the Wigner marginal.
+
+The heatmap oracle is the per-cell SVG writer that ``svgplot.heatmap_svg``
+replaced: one colour function call and one formatted ``<rect>`` per cell.
 """
 
 import math
+from io import StringIO
 
 import numpy as np
 
 from noonbell import catalog, parity_corr, q_joint, q_single_a, validate_settings, wigner
 from noonbell.marginals import _axis_rule
+from noonbell.svgplot import _FONT, _escape, _fmt
 
 _CATALOG = catalog()
 
@@ -206,3 +211,108 @@ def w_marginal_closed_form(n: int, y, v):
     """Wigner marginal (phi_N(y) phi_0(v) - phi_0(y) phi_N(v))^2 / 2."""
     phi_y, phi_v = hermite_functions(n, y), hermite_functions(n, v)
     return 0.5 * (phi_y[n] * phi_v[0] - phi_y[0] * phi_v[n]) ** 2
+
+
+def _diverging_color(t: float) -> str:
+    """Blue -> white -> red over t in [0, 1]."""
+    t = min(max(t, 0.0), 1.0)
+    if t < 0.5:
+        u = t / 0.5
+        r, g, b = 40 + 215 * u, 60 + 195 * u, 150 + 105 * u
+    else:
+        u = (t - 0.5) / 0.5
+        r, g, b = 255, 255 - 195 * u, 255 - 215 * u
+    return f"rgb({int(r)},{int(g)},{int(b)})"
+
+
+def _sequential_color(t: float) -> str:
+    """Dark blue -> yellow, a compact viridis-like ramp."""
+    t = min(max(t, 0.0), 1.0)
+    anchors = [
+        (68, 1, 84),
+        (59, 82, 139),
+        (33, 145, 140),
+        (94, 201, 98),
+        (253, 231, 37),
+    ]
+    pos = t * (len(anchors) - 1)
+    i = min(int(pos), len(anchors) - 2)
+    u = pos - i
+    c0, c1 = anchors[i], anchors[i + 1]
+    rgb = tuple(int(round(a + (b - a) * u)) for a, b in zip(c0, c1))
+    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+
+
+def heatmap_svg(
+    values: np.ndarray,
+    y_min: float,
+    y_max: float,
+    title: str = "",
+    diverging: bool | None = None,
+) -> str:
+    """Render a square matrix as a heatmap with a linear color map.
+
+    Rows are the y axis (drawn bottom-up), columns the v axis.  The value
+    range used by the color map is recorded in a <desc> element.
+    """
+    values = np.asarray(values, dtype=float)
+    count = values.shape[0]
+    vmin = float(values.min())
+    vmax = float(values.max())
+    if diverging is None:
+        diverging = vmin < 0.0
+    if diverging:
+        peak = max(abs(vmin), abs(vmax), 1e-300)
+        lo, hi = -peak, peak
+        color = _diverging_color
+    else:
+        lo, hi = vmin, max(vmax, vmin + 1e-300)
+        color = _sequential_color
+    margin, size = 46.0, 480.0
+    cell = size / count
+    width = margin + size + 14.0
+    height = margin / 2 + size + margin
+    buf = StringIO()
+    buf.write(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
+        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
+    )
+    buf.write(f"<desc>linear color map; min={vmin!r} max={vmax!r}</desc>\n")
+    buf.write('<rect width="100%" height="100%" fill="#ffffff"/>\n')
+    if title:
+        buf.write(
+            f'<text x="{_fmt(margin + size / 2)}" y="16" text-anchor="middle" '
+            f'font-size="13" {_FONT}>{_escape(title)}</text>\n'
+        )
+    top = margin / 2 + 4
+    for i in range(count):
+        for j in range(count):
+            t = (values[i, j] - lo) / (hi - lo)
+            x = margin + j * cell
+            y = top + (count - 1 - i) * cell
+            buf.write(
+                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell + 0.35)}" '
+                f'height="{_fmt(cell + 0.35)}" fill="{color(t)}"/>\n'
+            )
+    axis_y = top + size + 14
+    for frac, val in ((0.0, y_min), (0.5, 0.5 * (y_min + y_max)), (1.0, y_max)):
+        x = margin + frac * size
+        buf.write(
+            f'<text x="{_fmt(x)}" y="{_fmt(axis_y)}" text-anchor="middle" '
+            f'font-size="11" {_FONT}>{_fmt(val)}</text>\n'
+        )
+        y = top + (1.0 - frac) * size
+        buf.write(
+            f'<text x="{_fmt(margin - 6)}" y="{_fmt(y + 4)}" text-anchor="end" '
+            f'font-size="11" {_FONT}>{_fmt(val)}</text>\n'
+        )
+    buf.write(
+        f'<text x="{_fmt(margin + size / 2)}" y="{_fmt(axis_y + 16)}" text-anchor="middle" '
+        f'font-size="12" {_FONT}>v</text>\n'
+    )
+    buf.write(
+        f'<text x="12" y="{_fmt(top + size / 2)}" text-anchor="middle" '
+        f'font-size="12" {_FONT}>y</text>\n'
+    )
+    buf.write("</svg>\n")
+    return buf.getvalue()

@@ -256,7 +256,7 @@ def test_c09_unitary_equivalence():
     for n in range(2, 7):
         mapped = apply_swap_unitary(n, noon_state(1, 16))
         target = noon_state(n, 16)
-        worst = max(worst, float(np.max(np.abs(mapped.amplitudes - target.amplitudes))))
+        worst = max(worst, float(np.max(np.abs(mapped - target))))
     assert worst < 1e-12
     report("9 unitary-equivalence", True, f"max amplitude error {worst:.2e}")
 

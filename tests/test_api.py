@@ -2,7 +2,17 @@ import pytest
 
 import noonbell
 
-REMOVED = ("ch_value", "chsh_value", "bell_wigner_values", "j_value", "q_single_b", "NoonParams")
+REMOVED = (
+    "ch_value",
+    "chsh_value",
+    "bell_wigner_values",
+    "j_value",
+    "q_single_b",
+    "NoonParams",
+    "FockVector",
+    "FockOperator",
+    "product_state",
+)
 
 
 @pytest.mark.parametrize("name", noonbell.__all__)
@@ -13,7 +23,7 @@ def test_exported_name_resolves(name):
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_not_exported(name):
     assert name not in noonbell.__all__
-    for module in (noonbell, noonbell.correlators, noonbell.inequalities):
+    for module in (noonbell, noonbell.correlators, noonbell.inequalities, noonbell.fock):
         assert not hasattr(module, name)
 
 

@@ -235,6 +235,16 @@ class TestMarginal:
         text = svg.read_text()
         assert "<desc>linear color map; min=" in text
 
+    def test_constant_grid_draws_one_colour(self, tmp_path, capsys):
+        # at range 1e-9 every q value is 1/(4 pi): the colour map spans nothing
+        svg = tmp_path / "m.svg"
+        argv = ["marginal", "q", "--n", "2", "--range", "1e-9", "--count", "16", "--svg", str(svg)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+        fills = re.findall(r'<rect x="[^"]*" y="[^"]*" [^>]* fill="([^"]*)"/>', svg.read_text())
+        assert len(fills) == 256
+        assert set(fills) == {"rgb(68,1,84)"}
+
     def test_forty_photons_match_hermite_closed_form(self, capsys):
         # N = 40 was the first photon number past the old fixed order
         code, out, _ = run_cli(["marginal", "w", "--n", "40", "--count", "64"], capsys)

@@ -13,7 +13,6 @@ from noonbell import (
     oracle_parity_corr,
     oracle_q_joint,
     parity_corr,
-    product_state,
     q_joint,
 )
 
@@ -27,13 +26,13 @@ def random_amplitudes(rng, count, radius):
 class TestNoonState:
     def test_amplitudes(self):
         st = noon_state(1, 10)
-        assert st.amplitude(1, 0) == pytest.approx(1.0 / math.sqrt(2.0))
-        assert st.amplitude(0, 1) == pytest.approx(-1.0 / math.sqrt(2.0))
-        nz = np.flatnonzero(st.amplitudes)
-        assert len(nz) == 2
+        assert st.shape == (10, 10)
+        assert st[1, 0] == pytest.approx(1.0 / math.sqrt(2.0))
+        assert st[0, 1] == pytest.approx(-1.0 / math.sqrt(2.0))
+        assert np.count_nonzero(st) == 2
 
     def test_norm(self):
-        assert noon_state(3, 16).norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(noon_state(3, 16)) == pytest.approx(1.0, abs=1e-12)
 
     def test_cutoff_must_exceed_n(self):
         with pytest.raises(ValueError):
@@ -42,24 +41,25 @@ class TestNoonState:
     def test_immutable(self):
         st = noon_state(1, 4)
         with pytest.raises(ValueError):
-            st.amplitudes[0] = 1.0
+            st[0, 0] = 1.0
 
 
 class TestCoherentState:
     def test_vacuum(self):
         st = coherent_state(0.0, 8)
-        assert st.amplitude(0) == 1.0
-        assert np.count_nonzero(st.amplitudes) == 1
+        assert st.shape == (8,)
+        assert st[0] == 1.0
+        assert np.count_nonzero(st) == 1
 
     def test_component_series(self):
         st = coherent_state(1.0, 40)
-        assert st.amplitude(0) == pytest.approx(math.exp(-0.5), abs=1e-12)
+        assert st[0] == pytest.approx(math.exp(-0.5), abs=1e-12)
         # component n = exp(-|a|^2/2) a^n / sqrt(n!)
-        assert st.amplitude(3) == pytest.approx(math.exp(-0.5) / math.sqrt(6.0), abs=1e-12)
+        assert st[3] == pytest.approx(math.exp(-0.5) / math.sqrt(6.0), abs=1e-12)
 
     def test_norm_after_renormalization(self):
         st = coherent_state(1.5 + 0.5j, 40)
-        assert st.norm() == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(st) == pytest.approx(1.0, abs=1e-10)
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationError) as exc:
@@ -68,30 +68,30 @@ class TestCoherentState:
 
     def test_phase_convention(self):
         st = coherent_state(1j, 20)
-        assert st.amplitude(1) == pytest.approx(1j * math.exp(-0.5), abs=1e-12)
+        assert st[1] == pytest.approx(1j * math.exp(-0.5), abs=1e-12)
 
 
 class TestDisplacementMatrix:
     def test_zero_is_identity(self):
         op = displacement_matrix(0.0, 12)
-        assert np.allclose(op.matrix, np.eye(12), atol=1e-15)
+        assert np.allclose(op, np.eye(12), atol=1e-15)
 
     def test_first_column_is_coherent_state(self):
         alpha = 0.8 - 0.3j
         op = displacement_matrix(alpha, 40)
         coh = coherent_state(alpha, 40)
-        assert np.allclose(op.matrix[:, 0], coh.amplitudes, atol=1e-10)
+        assert np.allclose(op[:, 0], coh, atol=1e-10)
 
     def test_vacuum_matrix_element(self):
         op = displacement_matrix(1.0, 40)
-        assert op.matrix[0, 0] == pytest.approx(math.exp(-0.5), abs=1e-12)
+        assert op[0, 0] == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_inverse_on_quarter_block(self):
         # D(a) D(-a) = 1 on the lowest quarter block for |a| <= 2
         cutoff = 64
         for alpha in (0.7, 1.4 + 0.8j, 2.0, -1.9j):
-            d = displacement_matrix(alpha, cutoff).matrix
-            dm = displacement_matrix(-alpha, cutoff).matrix
+            d = displacement_matrix(alpha, cutoff)
+            dm = displacement_matrix(-alpha, cutoff)
             quarter = cutoff // 4
             prod = (d @ dm)[:quarter, :quarter]
             assert np.max(np.abs(prod - np.eye(quarter))) < 1e-8
@@ -101,7 +101,7 @@ class TestDisplacementMatrix:
         # headroom of roughly cutoff >= 24 |a|^2, well inside the coherent
         # guard for these amplitudes
         for alpha, cutoff in ((0.7, 64), (1.5, 64), (1.4 + 0.8j, 64), (2.0, 96)):
-            d = displacement_matrix(alpha, cutoff).matrix
+            d = displacement_matrix(alpha, cutoff)
             half = cutoff // 2
             gram = (d.conj().T @ d)[:half, :half]
             assert np.max(np.abs(gram - np.eye(half))) < 1e-8
@@ -112,7 +112,7 @@ class TestDisplacementMatrix:
 
     def test_displaced_vacuum_projector_is_valid_povm_element(self):
         cutoff = 24
-        d = displacement_matrix(0.9 + 0.4j, cutoff).matrix
+        d = displacement_matrix(0.9 + 0.4j, cutoff)
         proj = np.outer(d[:, 0], d[:, 0].conj())
         assert np.max(np.abs(proj - proj.conj().T)) < 1e-14
         eigs = np.linalg.eigvalsh(proj)
@@ -180,31 +180,65 @@ class TestSwapUnitary:
     def test_maps_one_photon_state_up(self):
         mapped = apply_swap_unitary(3, noon_state(1, 16))
         target = noon_state(3, 16)
-        assert np.max(np.abs(mapped.amplitudes - target.amplitudes)) < 1e-12
+        assert np.max(np.abs(mapped - target)) < 1e-12
 
     def test_identity_for_n_equal_one(self):
         st = noon_state(1, 16)
         mapped = apply_swap_unitary(1, st)
-        assert np.array_equal(mapped.amplitudes, st.amplitudes)
+        assert np.array_equal(mapped, st)
 
     def test_fixes_vacuum(self):
-        vac = product_state(coherent_state(0.0, 8), coherent_state(0.0, 8))
+        vac = np.outer(coherent_state(0.0, 8), coherent_state(0.0, 8))
         mapped = apply_swap_unitary(2, vac)
-        assert np.array_equal(mapped.amplitudes, vac.amplitudes)
+        assert np.array_equal(mapped, vac)
 
     def test_involution_on_random_state(self):
         rng = np.random.default_rng(8)
-        amps = rng.normal(size=64) + 1j * rng.normal(size=64)
-        amps /= np.linalg.norm(amps)
-        from noonbell import FockVector
-
-        st = FockVector(8, amps, modes=2)
+        st = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        st /= np.linalg.norm(st)
         twice = apply_swap_unitary(4, apply_swap_unitary(4, st))
-        assert np.max(np.abs(twice.amplitudes - st.amplitudes)) < 1e-12
+        assert np.max(np.abs(twice - st)) < 1e-12
+
+    def test_single_mode_vector(self):
+        st = coherent_state(0.8 - 0.3j, 16)
+        mapped = apply_swap_unitary(3, st)
+        expected = st.copy()
+        expected[[1, 3]] = st[[3, 1]]
+        assert np.array_equal(mapped, expected)
+        assert np.array_equal(apply_swap_unitary(3, mapped), st)
+
+    @pytest.mark.parametrize("shape", [(8, 9), (4, 4, 4), ()])
+    def test_rejects_non_square_shapes(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            apply_swap_unitary(2, np.zeros(shape, dtype=complex))
 
     def test_cutoff_too_small(self):
         with pytest.raises(ValueError):
             apply_swap_unitary(16, noon_state(1, 16))
+
+
+class TestReadOnly:
+    """Every array the oracle hands out is read-only, so a caller cannot
+    corrupt a state that another computation still uses."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: noon_state(2, 8),
+            lambda: coherent_state(0.6 + 0.2j, 8),
+            lambda: coherent_state(0.0, 8),
+            lambda: displacement_matrix(0.6 + 0.2j, 8),
+            lambda: displacement_matrix(0.5, 8),
+            lambda: apply_swap_unitary(2, noon_state(1, 8)),
+            lambda: apply_swap_unitary(2, np.ones(8, dtype=complex)),
+        ],
+    )
+    def test_not_writeable(self, make):
+        arr = make()
+        assert arr.dtype == np.complex128
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
 
 
 class TestDefaultCutoff:
@@ -241,7 +275,7 @@ class TestScipyReference:
         for alpha in random_amplitudes(rng, 8, 0.99 * math.sqrt(cutoff / 4.0)):
             alpha = complex(alpha)
             expected = self.reference_displacement(special, alpha, cutoff)
-            assert np.max(np.abs(displacement_matrix(alpha, cutoff).matrix - expected)) < 1e-13
+            assert np.max(np.abs(displacement_matrix(alpha, cutoff) - expected)) < 1e-13
 
     @pytest.mark.parametrize("cutoff", [16, 64, 128])
     def test_coherent_state(self, special, cutoff):
@@ -253,5 +287,5 @@ class TestScipyReference:
             expected = np.exp(log_mag) * np.exp(1j * ns * np.angle(alpha))
             if 1.0 - np.sum(np.abs(expected) ** 2) < 1e-12:  # the library renormalizes
                 expected = expected / np.linalg.norm(expected)
-            got = coherent_state(alpha, cutoff).amplitudes
+            got = coherent_state(alpha, cutoff)
             assert np.max(np.abs(got - expected)) < 1e-13
