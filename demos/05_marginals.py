@@ -22,7 +22,8 @@ from noonbell import (
 )
 from noonbell.svgplot import heatmap_svg
 
-OUT = Path(__file__).parent / "out"
+HERE = Path(__file__).parent
+OUT = HERE / "out"
 OUT.mkdir(exist_ok=True)
 
 print("=== normalization ===")
@@ -55,10 +56,10 @@ for kind, tag in (("q-marginal", "q"), ("w-marginal", "w")):
         svg_path.write_text(
             heatmap_svg(grid.values, grid.y_min, grid.y_max, title=f"{kind}, N = {n}")
         )
-        print(f"  wrote {svg_path}")
+        print(f"  wrote {svg_path.relative_to(HERE)}")
 csv_path = OUT / "w_marginal_n3.csv"
 csv_path.write_text(grid_to_csv(density_grid("w-marginal", 3, 3.0, 64)))
-print(f"  wrote {csv_path}")
+print(f"  wrote {csv_path.relative_to(HERE)}")
 print()
 print("The N=1 densities concentrate along y = -v; for larger N the pattern")
 print("grows more symmetric, with the interference rings far more pronounced")

@@ -6,8 +6,10 @@ over the number basis: a single-mode state is a vector indexed by n, a
 two-mode state a (cutoff, cutoff) matrix indexed by (n_a, n_b), and a
 single-mode operator a (cutoff, cutoff) matrix.  Displacements are built from
 the associated-Laguerre matrix elements, and expectation values are plain
-linear algebra.  Cutoffs are kept small (<= 128 per mode), so dense storage
-is simpler and fast enough.
+linear algebra: sums over the whole truncated basis, with the operators'
+outer index restricted to the number states the state occupies (every other
+row meets only zero amplitudes).  Cutoffs are kept small (<= 128 per mode),
+so dense storage is simpler and fast enough.
 
 Every returned array is read-only, and every operation is a pure function of
 its inputs.
@@ -15,6 +17,7 @@ its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 import numpy as np
 
@@ -63,24 +66,29 @@ def default_cutoff(n, *amplitudes: complex) -> int:
     return math.ceil(_GUARD_RATIO * peak) + n + 10
 
 
+@functools.lru_cache(maxsize=8)
 def _log_factorials(cutoff: int) -> np.ndarray:
-    """log(n!) for n = 0 .. cutoff - 1."""
-    return np.array([math.lgamma(n + 1.0) for n in range(cutoff)])
+    """log(n!) for n = 0 .. cutoff - 1, read-only.  Cached: oracle callers
+    repeat one cutoff."""
+    return _freeze(np.array([math.lgamma(n + 1.0) for n in range(cutoff)]))
 
 
-def _genlaguerre_table(cutoff: int, x: float) -> np.ndarray:
-    """T[k, a] = L_k^(a)(x) for 0 <= k, a < cutoff, by the three-term
-    recurrence in k, (k+1) L_{k+1}^(a) = (2k+1+a-x) L_k^(a) - (k+a) L_{k-1}^(a),
-    run for every order a at once."""
-    k = np.arange(cutoff, dtype=float)[:, None]
-    a = np.arange(cutoff, dtype=float)
+def _genlaguerre_table(depth: int, orders: int, x: float) -> np.ndarray:
+    """T[k, a] = L_k^(a)(x) for 0 <= k < depth and 0 <= a < orders, by the
+    three-term recurrence in k,
+    (k+1) L_{k+1}^(a) = (2k+1+a-x) L_k^(a) - (k+a) L_{k-1}^(a),
+    run for every order a at once.  Each column's recurrence is independent
+    of the others and of the depth, so a shallower table is a prefix of a
+    deeper one, bit for bit."""
+    k = np.arange(depth, dtype=float)[:, None]
+    a = np.arange(orders, dtype=float)
     grow = (2.0 * k + 1.0 + a - x) / (k + 1.0)
     fall = (k + a) / (k + 1.0)
-    table = np.empty((cutoff, cutoff))
+    table = np.empty((depth, orders))
     table[0] = 1.0
-    if cutoff > 1:
+    if depth > 1:
         table[1] = 1.0 + a - x
-    for i in range(1, cutoff - 1):
+    for i in range(1, depth - 1):
         table[i + 1] = grow[i] * table[i] - fall[i] * table[i - 1]
     return table
 
@@ -123,27 +131,37 @@ def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
     return _freeze(amps)
 
 
-def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
-    """Matrix elements <m|D(alpha)|n> from the associated-Laguerre closed form
+def _displacement_rows(alpha: complex, cutoff: int, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` (ascending) of the matrix <m|D(alpha)|n>, 0 <= n < cutoff,
+    from the associated-Laguerre closed form
 
         <m|D|n> = sqrt(n!/m!) alpha^(m-n) exp(-|a|^2/2) L_n^(m-n)(|a|^2)   (m >= n)
         <m|D|n> = sqrt(m!/n!) (-conj(alpha))^(n-m) exp(-|a|^2/2) L_m^(n-m)(|a|^2)
 
     which avoids the eigendecomposition error of a matrix exponential at
-    large cutoff.  Unitary up to truncation error in the highest rows.
-    """
+    large cutoff.  The Laguerre degree min(m, n) never exceeds the last row,
+    so the table runs only that deep.  Each element is computed as in the
+    full matrix, so the rows equal its rows bit for bit."""
     _check_guard(alpha, cutoff)
-    ns = np.arange(cutoff)
-    m_idx, n_idx = np.meshgrid(ns, ns, indexing="ij")
+    rows = np.asarray(rows)
+    m_idx = rows[:, None]
+    n_idx = np.arange(cutoff)
     k_lo = np.minimum(m_idx, n_idx)
     diff = np.abs(m_idx - n_idx)
     x = abs(alpha) ** 2
-    lag = _genlaguerre_table(cutoff, x)[k_lo, diff]
+    lag = _genlaguerre_table(int(rows[-1]) + 1, cutoff, x)[k_lo, diff]
     log_fact = _log_factorials(cutoff)
     prefactor = np.exp(0.5 * (log_fact[k_lo] - log_fact[np.maximum(m_idx, n_idx)]))
     base = np.where(m_idx >= n_idx, alpha, -np.conjugate(alpha)) ** diff
     mat = prefactor * base * math.exp(-0.5 * x) * lag
-    return _freeze(mat.astype(np.complex128, copy=False))
+    return mat.astype(np.complex128, copy=False)
+
+
+def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
+    """Matrix elements <m|D(alpha)|n>, 0 <= m, n < cutoff (see
+    :func:`_displacement_rows`).  Unitary up to truncation error in the
+    highest rows."""
+    return _freeze(_displacement_rows(alpha, cutoff, np.arange(cutoff)))
 
 
 def oracle_q_joint(n, alpha: complex, beta: complex, cutoff: int) -> float:
@@ -160,23 +178,30 @@ def oracle_q_joint(n, alpha: complex, beta: complex, cutoff: int) -> float:
     return float(abs(overlap) ** 2)
 
 
-def _displaced_parity(alpha: complex, cutoff: int) -> np.ndarray:
-    d = displacement_matrix(alpha, cutoff)
+def _displaced_parity(alpha: complex, cutoff: int, rows: np.ndarray) -> np.ndarray:
+    """The (rows x rows) block of D(alpha) (-1)^n D(alpha)^+, summed over
+    the whole truncated basis."""
+    d = _displacement_rows(alpha, cutoff, rows)
     parity = np.where(np.arange(cutoff) % 2 == 0, 1.0, -1.0)
     return (d * parity) @ d.conj().T
 
 
 def oracle_parity_corr(n, alpha: complex, beta: complex, cutoff: int) -> float:
-    """<state| D_a D_b (-1)^(n_a+n_b) D_a^+ D_b^+ |state> by matrix algebra."""
+    """<state| D_a D_b (-1)^(n_a+n_b) D_a^+ D_b^+ |state> by matrix algebra.
+    Only the number states the state occupies (0 and N in each mode) meet a
+    nonzero amplitude, so only those rows of the operators are built."""
     n = photon_number(n)
     required = default_cutoff(n, alpha, beta)
     if cutoff < required:
         bigger = alpha if abs(alpha) >= abs(beta) else beta
         raise TruncationError(bigger, cutoff, required)
-    ma = _displaced_parity(alpha, cutoff)
-    mb = _displaced_parity(beta, cutoff)
     psi = noon_state(n, cutoff)
-    value = np.vdot(psi, ma @ psi @ mb.T)
+    rows_a = np.flatnonzero(np.any(psi, axis=1))
+    rows_b = np.flatnonzero(np.any(psi, axis=0))
+    ma = _displaced_parity(alpha, cutoff, rows_a)
+    mb = _displaced_parity(beta, cutoff, rows_b)
+    sub = psi[np.ix_(rows_a, rows_b)]
+    value = np.vdot(sub, ma @ sub @ mb.T)
     return float(value.real)
 
 

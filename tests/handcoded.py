@@ -6,11 +6,15 @@ from the catalog data) can be checked against an independent transcription.
 Settings arrays broadcast like the library's, with settings in the last axis.
 
 The marginal oracles are the 2-D Gauss-Hermite rule over (x, u), which calls
-the correlators at every node pair, and the Hermite-function closed form of
-the Wigner marginal.
+the correlators at every node pair, on a rule built afresh at every call, and
+the Hermite-function closed form of the Wigner marginal.  The CSV oracle
+formats one value at a time.
 
 The heatmap oracle is the per-cell SVG writer that ``svgplot.heatmap_svg``
 replaced: one colour function call and one formatted ``<rect>`` per cell.
+
+The dense Fock oracle builds the full displacement matrices and displaced
+parity operators that ``fock`` now builds only on the state's support.
 """
 
 import math
@@ -18,8 +22,19 @@ from io import StringIO
 
 import numpy as np
 
-from noonbell import catalog, parity_corr, q_joint, q_single_a, validate_settings, wigner
-from noonbell.marginals import _axis_rule
+from noonbell import (
+    TruncationError,
+    catalog,
+    default_cutoff,
+    noon_state,
+    parity_corr,
+    q_joint,
+    q_single_a,
+    validate_settings,
+    wigner,
+)
+from noonbell.correlators import photon_number
+from noonbell.fock import _check_guard, _freeze, _log_factorials
 from noonbell.svgplot import _FONT, _escape, _fmt
 
 _CATALOG = catalog()
@@ -177,11 +192,18 @@ def _kind_parts(kind: str):
     return wigner, 2.0
 
 
+def axis_rule(order: int, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights w with  integral f(x) dx = sum w_i f(x_i)  exact
+    for f = polynomial * exp(-rate x^2); the exp factor stays inside f."""
+    t, w = np.polynomial.hermite.hermgauss(order)
+    return t / math.sqrt(rate), w * np.exp(t * t) / math.sqrt(rate)
+
+
 def marginal_value_2d(kind: str, p, y, v, order: int):
     """Integral over (x, u) at fixed (y, v); y and v may be arrays and are
     broadcast against each other."""
     func, rate = _kind_parts(kind)
-    x, w = _axis_rule(order, rate)
+    x, w = axis_rule(order, rate)
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
     yb, vb = np.broadcast_arrays(y, v)
@@ -211,6 +233,18 @@ def w_marginal_closed_form(n: int, y, v):
     """Wigner marginal (phi_N(y) phi_0(v) - phi_0(y) phi_N(v))^2 / 2."""
     phi_y, phi_v = hermite_functions(n, y), hermite_functions(n, v)
     return 0.5 * (phi_y[n] * phi_v[0] - phi_y[0] * phi_v[n]) ** 2
+
+
+def grid_to_csv(grid) -> str:
+    """CSV form: a header row (kind, n, range, count, normalization), the
+    header values, then the count x count values row-major at 1e-10 print
+    precision."""
+    buf = StringIO()
+    buf.write("kind,n,range,count,normalization\n")
+    buf.write(f"{grid.kind},{grid.n},{grid.y_max!r},{grid.count},{grid.normalization!r}\n")
+    for row in grid.values:
+        buf.write(",".join(f"{v:.10e}" for v in row) + "\n")
+    return buf.getvalue()
 
 
 def _diverging_color(t: float) -> str:
@@ -316,3 +350,63 @@ def heatmap_svg(
     )
     buf.write("</svg>\n")
     return buf.getvalue()
+
+
+def _genlaguerre_table(cutoff: int, x: float) -> np.ndarray:
+    """T[k, a] = L_k^(a)(x) for 0 <= k, a < cutoff, by the three-term
+    recurrence in k, (k+1) L_{k+1}^(a) = (2k+1+a-x) L_k^(a) - (k+a) L_{k-1}^(a),
+    run for every order a at once."""
+    k = np.arange(cutoff, dtype=float)[:, None]
+    a = np.arange(cutoff, dtype=float)
+    grow = (2.0 * k + 1.0 + a - x) / (k + 1.0)
+    fall = (k + a) / (k + 1.0)
+    table = np.empty((cutoff, cutoff))
+    table[0] = 1.0
+    if cutoff > 1:
+        table[1] = 1.0 + a - x
+    for i in range(1, cutoff - 1):
+        table[i + 1] = grow[i] * table[i] - fall[i] * table[i - 1]
+    return table
+
+
+def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
+    """Matrix elements <m|D(alpha)|n> from the associated-Laguerre closed form
+
+        <m|D|n> = sqrt(n!/m!) alpha^(m-n) exp(-|a|^2/2) L_n^(m-n)(|a|^2)   (m >= n)
+        <m|D|n> = sqrt(m!/n!) (-conj(alpha))^(n-m) exp(-|a|^2/2) L_m^(n-m)(|a|^2)
+
+    which avoids the eigendecomposition error of a matrix exponential at
+    large cutoff.  Unitary up to truncation error in the highest rows.
+    """
+    _check_guard(alpha, cutoff)
+    ns = np.arange(cutoff)
+    m_idx, n_idx = np.meshgrid(ns, ns, indexing="ij")
+    k_lo = np.minimum(m_idx, n_idx)
+    diff = np.abs(m_idx - n_idx)
+    x = abs(alpha) ** 2
+    lag = _genlaguerre_table(cutoff, x)[k_lo, diff]
+    log_fact = _log_factorials(cutoff)
+    prefactor = np.exp(0.5 * (log_fact[k_lo] - log_fact[np.maximum(m_idx, n_idx)]))
+    base = np.where(m_idx >= n_idx, alpha, -np.conjugate(alpha)) ** diff
+    mat = prefactor * base * math.exp(-0.5 * x) * lag
+    return _freeze(mat.astype(np.complex128, copy=False))
+
+
+def _displaced_parity(alpha: complex, cutoff: int) -> np.ndarray:
+    d = displacement_matrix(alpha, cutoff)
+    parity = np.where(np.arange(cutoff) % 2 == 0, 1.0, -1.0)
+    return (d * parity) @ d.conj().T
+
+
+def oracle_parity_corr(n, alpha: complex, beta: complex, cutoff: int) -> float:
+    """<state| D_a D_b (-1)^(n_a+n_b) D_a^+ D_b^+ |state> by matrix algebra."""
+    n = photon_number(n)
+    required = default_cutoff(n, alpha, beta)
+    if cutoff < required:
+        bigger = alpha if abs(alpha) >= abs(beta) else beta
+        raise TruncationError(bigger, cutoff, required)
+    ma = _displaced_parity(alpha, cutoff)
+    mb = _displaced_parity(beta, cutoff)
+    psi = noon_state(n, cutoff)
+    value = np.vdot(psi, ma @ psi @ mb.T)
+    return float(value.real)

@@ -33,6 +33,15 @@ def test_marginal_demo_writes_its_heatmaps(tmp_path):
     assert len(list((tmp_path / "out").glob("*.svg"))) == 6
 
 
+def test_marginal_demo_output_does_not_name_its_directory(tmp_path):
+    outputs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        outputs.append(run_demo("05_marginals.py", tmp_path / name))
+    assert outputs[0] == outputs[1]
+    assert "  wrote out/q_marginal_n1.svg" in outputs[0].splitlines()
+
+
 def test_fock_oracle_demo_errors_are_small(tmp_path):
     out = run_demo("06_fock_oracle.py", tmp_path)
     errors = [float(x) for x in re.findall(r"(?:error|defect|coherent state:) ([-+.e\d]+)", out)]

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import handcoded
+from noonbell import fock
 from noonbell import (
     TruncationError,
     apply_swap_unitary,
@@ -174,6 +178,67 @@ class TestOracleParity:
         with pytest.raises(TruncationError) as exc:
             oracle_parity_corr(2, 1.5, 0.0, 16)
         assert exc.value.required_cutoff == default_cutoff(2, 1.5, 0.0)
+
+
+class TestDenseReference:
+    """The library builds only the rows of D(alpha) that meet the state's
+    amplitudes; ``handcoded`` keeps the dense matrices it replaced."""
+
+    @pytest.mark.parametrize("alpha,cutoff", [
+        (0.0, 1), (0.0, 16), (0.7, 2), (0.7, 16), (1.3 + 0.4j, 40), (-1.1j, 64),
+        (2.0, 16), (2.0, 64), (4.0, 64), (-3.0 + 4.0j, 100), (1.5 - 2.0j, 128),
+    ])
+    def test_displacement_matrix_bitwise(self, alpha, cutoff):
+        # (2, 16), (4, 64) and (-3+4i, 100) sit on the guard's edge |a|^2 = cutoff/4
+        ours = displacement_matrix(alpha, cutoff)
+        dense = handcoded.displacement_matrix(alpha, cutoff)
+        assert ours.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("rows", [[0], [0, 1], [0, 5], [2, 7, 11], [39]])
+    @pytest.mark.parametrize("alpha", [0.0, 1.3 + 0.4j, -2.0j])
+    def test_row_subset_bitwise(self, rows, alpha):
+        rows = np.array(rows)
+        part = fock._displacement_rows(alpha, 40, rows)
+        assert part.tobytes() == displacement_matrix(alpha, 40)[rows].tobytes()
+
+    @pytest.mark.parametrize("cutoff", [32, 64])
+    def test_oracle_matches_dense(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        for n in range(1, 6):
+            for a, b in zip(random_amplitudes(rng, 30, 2.0), random_amplitudes(rng, 30, 2.0)):
+                assert abs(
+                    oracle_parity_corr(n, a, b, cutoff)
+                    - handcoded.oracle_parity_corr(n, a, b, cutoff)
+                ) < 1e-15
+
+    @given(
+        n=st.integers(1, 5),
+        alpha=st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        beta=st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_oracle_matches_dense_at_default_cutoff(self, n, alpha, beta):
+        cutoff = default_cutoff(n, alpha, beta)
+        assert abs(
+            oracle_parity_corr(n, alpha, beta, cutoff)
+            - handcoded.oracle_parity_corr(n, alpha, beta, cutoff)
+        ) < 1e-15
+
+    @pytest.mark.parametrize("n,alpha,beta,cutoff", [
+        (2, 1.5, 0.0, 16), (1, 0.0, 2.0j, 20), (5, 1.0 + 1.0j, -0.5, 20), (3, 3.0, 3.0, 40),
+    ])
+    def test_same_truncation_error(self, n, alpha, beta, cutoff):
+        with pytest.raises(TruncationError) as ours:
+            oracle_parity_corr(n, alpha, beta, cutoff)
+        with pytest.raises(TruncationError) as dense:
+            handcoded.oracle_parity_corr(n, alpha, beta, cutoff)
+        assert ours.value.required_cutoff == dense.value.required_cutoff
+        assert ours.value.amplitude == dense.value.amplitude
+
+    def test_log_factorials_read_only(self):
+        table = fock._log_factorials(16)
+        assert not table.flags.writeable
+        assert fock._log_factorials(16) is table
 
 
 class TestSwapUnitary:

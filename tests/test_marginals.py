@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import handcoded
 from handcoded import marginal_value_2d, w_marginal_closed_form
 from noonbell import marginals
 from noonbell import (
@@ -197,6 +198,17 @@ class TestDensityGrid:
         line = grid_to_csv(grid).splitlines()[2]
         assert all("e" in tok for tok in line.split(","))
 
+    @pytest.mark.parametrize("kind,n,count", [("q", 2, 128), ("w", 3, 64), ("w", 40, 33)])
+    def test_csv_bytes_match_per_value_writer(self, kind, n, count):
+        grid = density_grid(kind, n, 3.0, count)
+        assert grid_to_csv(grid) == handcoded.grid_to_csv(grid)
+
+    def test_csv_special_values_match_per_value_writer(self):
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.8e308, 1.0 / 3.0, 0.0]
+        values = np.resize(np.array(special), (16, 16))
+        grid = marginals.DensityGrid("w-marginal", 1, -3.0, 3.0, 16, values, 1.0)
+        assert grid_to_csv(grid) == handcoded.grid_to_csv(grid)
+
 
 class TestGoldenGrids:
     """Regression anchors for the density structure (the higher-N grids are
@@ -264,6 +276,30 @@ class TestSeparableForm:
         assert np.isfinite(factored_l1_distance(kind, marginals._MAX_N))
 
 
+class TestCachedRule:
+    """Each Gauss-Hermite order is built once; the cached nodes and weights
+    give the same bits as a rule built afresh at every call."""
+
+    def test_read_only(self):
+        t, w = marginals._hermgauss(40)
+        assert not t.flags.writeable and not w.flags.writeable
+        assert marginals._hermgauss(40)[0] is t
+
+    @pytest.mark.parametrize("kind", ["q-marginal", "w-marginal"])
+    @pytest.mark.parametrize("n", [1, 2, 39, 100])
+    def test_bitwise_equal_to_fresh_rule(self, monkeypatch, kind, n):
+        def results():
+            return (
+                marginal_integral(kind, n),
+                correlation_coefficient(kind, n),
+                density_grid(kind, n, 3.0, 16).values.tobytes(),
+            )
+
+        cached = results()
+        monkeypatch.setattr(marginals, "_axis_rule", handcoded.axis_rule)
+        assert results() == cached
+
+
 class TestPhotonNumberLimit:
     @pytest.mark.parametrize("call", [
         lambda n: marginal_q(n, 0.0, 0.0),
@@ -276,6 +312,7 @@ class TestPhotonNumberLimit:
     def test_above_the_limit_before_any_work(self, monkeypatch, call):
         monkeypatch.setattr(marginals, "_marginal_value", None)
         monkeypatch.setattr(marginals, "_axis_rule", None)
+        monkeypatch.setattr(marginals, "_hermgauss", None)
         limit = marginals._MAX_N
         with pytest.raises(ValueError, match=f"photon number <= {limit}, got {limit + 1}"):
             call(limit + 1)
