@@ -9,7 +9,7 @@ The library exposes four layers:
   the generic evaluator that is the one way to evaluate them;
 * :mod:`noonbell.optimizer` -- deterministic multi-start derivative-free
   violation search with grid certification;
-* :mod:`noonbell.marginals` -- Gauss-Hermite marginal densities, correlation
+* :mod:`noonbell.marginals` -- closed-form marginal densities, correlation
   statistics, and samplable density grids;
 
 plus :mod:`noonbell.fock`, a truncated Fock-space simulator that serves as an

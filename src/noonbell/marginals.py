@@ -2,8 +2,7 @@
 
 Writing the local-oscillator amplitudes as alpha = x + i y and
 beta = u + i v, the joint no-click density and the two-mode Wigner function
-are integrated over (x, u) by Gauss-Hermite quadrature, leaving 2-D densities
-in (y, v):
+are integrated over (x, u), leaving 2-D densities in (y, v):
 
 * q-marginal: integral of Q_ab / pi^2 over (x, u); the 1/pi^2 makes the full
   (y, v) integral exactly 1 (Q_ab alone integrates to pi^2).
@@ -11,29 +10,32 @@ in (y, v):
   because the 4/pi^2 scale is part of the Wigner definition.  Pointwise
   nonnegative, so it reads as a probability density for (y, v).
 
-In the correlators' per-setting factors both integrands separate:
+Both integrals are closed forms.  The w-marginal is the NOON state's
+quadrature distribution (phi_N(y) phi_0(v) - phi_0(y) phi_N(v))^2 / 2, with
+the Hermite functions phi_k(y) = (2/pi)^(1/4) H_k(sqrt(2) y) e^(-y^2) /
+sqrt(2^k k!); the q-marginal is that distribution smoothed by the vacuum.
+Each is a sum of products of three parts per axis,
 
-    Q_ab = e^(-s_a-s_b) (|z_a|^2 + |z_b|^2 - 2 Re conj(z_a) z_b) / 2
-    Pi   = e^(-2s_a-2s_b) ((-1)^N (L_a + L_b) - 2 Re conj(w_a) w_b) / 2
+    density(y, v) = (A(y) D(v) + D(y) A(v)) / 2 - G(y) G(v)
 
-so three integrals over x per y (damped polynomial part, damping alone,
-damped power part) give every (y, v) pair.  Each is a degree-2N polynomial
-times exp(-r x^2), r = 1 (q) or 2 (w), which Gauss-Hermite nodes scaled by
-1/sqrt(r) integrate exactly from order N + 1.  The order max(40, N + 2)
-keeps the (y, v) moments, of degree 2N + 2, exact too, up to N = 200.  The
-factored L1 distance integrates the kinked |f - g| on a trapezoid grid.
+* w: A = phi_N^2, D = phi_0^2, G = phi_N phi_0;
+* q: A, D, G = P_N, sqrt(pi) e^(-y^2), g_N, each over pi, where
+  P_N = e^(-y^2) integral e^(-x^2) (x^2 + y^2)^N dx / N! and
+  g_N = sqrt(pi) e^(-y^2) H_N(y) / (2^N sqrt(N!)).
+
+Recurrences in k give the parts, once per grid axis.  The moments separate
+too: they and the factored L1 distance are trapezoid sums on one axis.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from io import StringIO
 
 import numpy as np
 
-from noonbell.correlators import _abs2, _parity_factors, _q_factors, photon_number
+from noonbell.correlators import photon_number
 
 __all__ = [
     "DensityGrid",
@@ -47,90 +49,94 @@ __all__ = [
     "grid_from_csv",
 ]
 
-_ORDER = 40
-# Checked exact up to here, with margin: the mass stays within 2e-13 of 1
-# to N = 300, and from N = 340 L_N(4|a|^2) overflows where exp(-2|a|^2) > 0.
+# Set by the trapezoid axis, with margin: the w mass is 1.6e-15 off 1 at
+# N = 300 but 9.8e-6 off at N = 350, and the L1 sum moves by 1.0e-3 at
+# N = 300 and 3.7e-3 at N = 325 on 1601 points.
 _MAX_N = 200
 _MIN_GRID_COUNT = 16
 # A grid is count^2 float64 values: about 17 bytes each as CSV and 90 as
 # SVG cells (0.6 s to draw and 0.5 s to write as CSV at 1024).
 _MAX_GRID_COUNT = 1024
-_L1_POINTS = 801
-_RATES = {"q-marginal": 1.0, "w-marginal": 2.0}  # the damping exp(-r |a|^2)
+_AXIS_POINTS = 801
+_Y_ZERO = 30.0  # every part is 0 beyond |y| = 27.3; clipping there keeps y^2 finite
+
+
+def _w_axis(n: int, y):
+    """phi_N^2, phi_0^2 and phi_N phi_0 at each y, by the stable recurrence
+    phi_(k+1) = (2 y phi_k - sqrt(k) phi_(k-1)) / sqrt(k+1)."""
+    y = np.clip(y, -_Y_ZERO, _Y_ZERO)
+    phi0 = (2.0 / math.pi) ** 0.25 * np.exp(-y * y)
+    prev, phi = 0.0, phi0
+    for k in range(n):
+        prev, phi = phi, (2.0 * y * phi - math.sqrt(k) * prev) / math.sqrt(k + 1)
+    return phi * phi, phi0 * phi0, phi * phi0
+
+
+def _q_axis(n: int, y):
+    """P_N, sqrt(pi) e^(-y^2) and g_N at each y, each over pi, by
+    g_(k+1) = (y g_k - (sqrt(k)/2) g_(k-1)) / sqrt(k+1) and
+    (k+1) P_(k+1) = (y^2 + k + 1/2) P_k - y^2 P_(k-1), both from
+    g_0 = P_0 = sqrt(pi) e^(-y^2) and g_(-1) = P_(-1) = 0."""
+    y = np.clip(y, -_Y_ZERO, _Y_ZERO)
+    y2 = y * y
+    damping = np.exp(-y2) / math.sqrt(math.pi)
+    g_prev, g, p_prev, p = 0.0, damping, 0.0, damping
+    for k in range(n):
+        g_prev, g = g, (y * g - 0.5 * math.sqrt(k) * g_prev) / math.sqrt(k + 1)
+        p_prev, p = p, ((y2 + k + 0.5) * p - y2 * p_prev) / (k + 1)
+    return p, damping, g
+
+
+_AXIS_PARTS = {"q-marginal": _q_axis, "w-marginal": _w_axis}
 
 
 def _canonical_kind(kind: str) -> str:
-    alias = {"q": "q-marginal", "w": "w-marginal"}
-    kind = alias.get(kind, kind)
-    if kind not in _RATES:
-        raise ValueError(f"kind must be one of {tuple(_RATES)} (or 'q'/'w'), got {kind!r}")
+    kind = {"q": "q-marginal", "w": "w-marginal"}.get(kind, kind)
+    if kind not in _AXIS_PARTS:
+        raise ValueError(f"kind must be one of {tuple(_AXIS_PARTS)} (or 'q'/'w'), got {kind!r}")
     return kind
 
 
-def _n_and_order(p) -> tuple[int, int]:
-    """The photon number, checked against the limit, and its rule order."""
+def _photon_number(p) -> int:
     n = photon_number(p)
     if n > _MAX_N:
         raise ValueError(f"marginals need photon number <= {_MAX_N}, got {n}")
-    return n, max(_ORDER, n + 2)
+    return n
 
 
-@functools.lru_cache(maxsize=_MAX_N)
-def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Hermite nodes and weights of one order, read-only.  Built
-    once per order: each is an eigen-solve, and every N <= 38 shares order 40."""
-    t, w = np.polynomial.hermite.hermgauss(order)
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
+def _density(parts_y, parts_v):
+    """(A(y) D(v) + D(y) A(v)) / 2 - G(y) G(v), broadcast over y and v."""
+    (a_y, d_y, g_y), (a_v, d_v, g_v) = parts_y, parts_v
+    return 0.5 * (a_y * d_v + d_y * a_v) - g_y * g_v
 
 
-def _axis_rule(order: int, rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x and weights w with  integral f(x) dx = sum w_i f(x_i)  exact
-    for f = polynomial * exp(-rate x^2); the exp factor stays inside f."""
-    t, w = _hermgauss(order)
-    return t / math.sqrt(rate), w * np.exp(t * t) / math.sqrt(rate)
+def _pairs(parts):
+    """_density at every pair of one axis's parts: rows y, columns v."""
+    return _density([part[:, np.newaxis] for part in parts], parts)
 
 
-def _axis_integrals(kind: str, n: int, y, order: int):
-    """Integrals over x, at each y, of exp(-r|a|^2) times the setting's
-    polynomial part, times 1 and times its power part (a = x + i y)."""
-    rate = _RATES[kind]
-    x, w = _axis_rule(order, rate)
-    alpha = x + 1j * np.asarray(y, dtype=float)[..., np.newaxis]
-    damping = np.exp(-rate * _abs2(alpha))
-    # up to _MAX_N the factors overflow only where the damping is 0: drop those
-    alpha = np.where(damping > 0.0, alpha, 0.0)
-    if kind == "q-marginal":
-        power = _q_factors(n, alpha)[1]
-        poly = _abs2(power)
-    else:
-        _, poly, power = _parity_factors(n, alpha)
-    return (damping * poly) @ w, damping @ w, (damping * power) @ w
-
-
-def _marginal_value(kind: str, n: int, y, v, order: int):
-    """Integral over (x, u) at fixed (y, v); y and v may be arrays and are
-    broadcast against each other."""
-    poly_y, damp_y, power_y = _axis_integrals(kind, n, y, order)
-    poly_v, damp_v, power_v = _axis_integrals(kind, n, v, order)
-    sign = -1.0 if kind == "w-marginal" and n % 2 else 1.0
-    scale = (1.0 if kind == "q-marginal" else 4.0) / math.pi**2
-    cross = (np.conjugate(power_y) * power_v).real
-    out = 0.5 * scale * (sign * (poly_y * damp_v + damp_y * poly_v) - 2.0 * cross)
+def _marginal_value(kind: str, n: int, y, v):
+    """The density at (y, v); y and v may be arrays, broadcast together."""
+    parts = _AXIS_PARTS[kind]
+    out = _density(parts(n, np.asarray(y, dtype=float)), parts(n, np.asarray(v, dtype=float)))
     return float(out) if out.ndim == 0 else out
+
+
+def _axis_parts(kind: str, p):
+    """The trapezoid axis [-h, h], h = 6 + sqrt(2N), and the parts on it."""
+    kind, n = _canonical_kind(kind), _photon_number(p)
+    axis = np.linspace(-1.0, 1.0, _AXIS_POINTS) * (6.0 + math.sqrt(2.0 * n))
+    return axis, _AXIS_PARTS[kind](n, axis)
 
 
 def marginal_q(p, y, v):
     """No-click marginal density at (y, v), normalized to unit total mass."""
-    n, order = _n_and_order(p)
-    return _marginal_value("q-marginal", n, y, v, order)
+    return _marginal_value("q-marginal", _photon_number(p), y, v)
 
 
 def marginal_w(p, y, v):
     """Wigner marginal density at (y, v); pointwise nonnegative."""
-    n, order = _n_and_order(p)
-    return _marginal_value("w-marginal", n, y, v, order)
+    return _marginal_value("w-marginal", _photon_number(p), y, v)
 
 
 def marginal_integral(kind: str, p) -> float:
@@ -139,20 +145,16 @@ def marginal_integral(kind: str, p) -> float:
 
 
 def _moments(kind: str, p):
-    """Mass, means, variances and covariance over the (y, v) plane; the
-    (y, v) integrals reuse the (x, u) rule."""
-    kind = _canonical_kind(kind)
-    n, order = _n_and_order(p)
-    y, w = _axis_rule(order, _RATES[kind])
-    vals = _marginal_value(kind, n, y[:, np.newaxis], y[np.newaxis, :], order)
-    wy = w * (vals @ w)  # mass attached to each y node
-    wv = w * (w @ vals)
-    total = float(np.sum(wy))
-    mean_y = float(wy @ y) / total
-    mean_v = float(wv @ y) / total
-    var_y = float(wy @ (y - mean_y) ** 2) / total
-    var_v = float(wv @ (y - mean_v) ** 2) / total
-    cov = float((w * (y - mean_y)) @ vals @ (w * (y - mean_v))) / total
+    """Mass, means, variances and covariance over the (y, v) plane.  The
+    density is a sum of products, so the integral of y^i v^j times it
+    combines the 1-D sums M_i[F] of y^i F over each part F like the parts."""
+    axis, parts = _axis_parts(kind, p)
+    powers = np.stack([np.ones_like(axis), axis, axis * axis])
+    e = _pairs(np.trapezoid(powers * np.array(parts)[:, np.newaxis], axis))
+    total = float(e[0, 0])
+    e = (e / total).tolist()  # e[i][j]: the mean of y^i v^j
+    mean_y, mean_v = e[1][0], e[0][1]
+    var_y, var_v, cov = e[2][0] - mean_y**2, e[0][2] - mean_v**2, e[1][1] - mean_y * mean_v
     return total, mean_y, mean_v, var_y, var_v, cov
 
 
@@ -170,14 +172,11 @@ def factored_l1_distance(kind: str, p) -> float:
     marginals; bounded away from zero for photon number >= 2 even though the
     linear correlation coefficient vanishes there (nonlinear dependence).
 
-    |f - g| has kinks, where Gauss-Hermite is not exact, so this is a
-    trapezoid sum on 801 points per axis over [-h, h]^2, h = 6 + sqrt(2N).
-    It is within 3.2e-4 of the same sum on 1601 points for N <= 40, and
-    within 1e-3 up to N = 200."""
-    kind = _canonical_kind(kind)
-    n, order = _n_and_order(p)
-    axis = np.linspace(-1.0, 1.0, _L1_POINTS) * (6.0 + math.sqrt(2.0 * n))
-    vals = _marginal_value(kind, n, axis[:, np.newaxis], axis[np.newaxis, :], order)
+    |f - g| has kinks, so the trapezoid sum on the statistics' axis converges
+    slowly: it is within 3.2e-4 of the same sum on 1601 points for N <= 40,
+    and within 1e-3 up to N = 200."""
+    axis, parts = _axis_parts(kind, p)
+    vals = _pairs(parts)
     my = np.trapezoid(vals, axis, axis=1)  # 1-D marginal in y
     mv = np.trapezoid(vals, axis, axis=0)
     gap = np.abs(vals - np.outer(my, mv))
@@ -221,9 +220,9 @@ class DensityGrid:
 def density_grid(kind: str, p, range_: float, count: int) -> DensityGrid:
     """Marginal density sampled on [-range, range]^2 with ``count`` points per
     axis (rows indexed by y, columns by v), computed in one call: each axis
-    point's x-integrals once, then every (y, v) pair by broadcasting."""
+    point's parts once, then every (y, v) pair by broadcasting."""
     kind = _canonical_kind(kind)
-    n, order = _n_and_order(p)
+    n = _photon_number(p)
     if not (math.isfinite(range_) and range_ > 0):
         raise ValueError(f"range must be finite and > 0, got {range_!r}")
     if count < _MIN_GRID_COUNT:
@@ -242,7 +241,7 @@ def density_grid(kind: str, p, range_: float, count: int) -> DensityGrid:
         y_min=float(-range_),
         y_max=float(range_),
         count=count,
-        values=_marginal_value(kind, n, axis[:, np.newaxis], axis[np.newaxis, :], order),
+        values=_pairs(_AXIS_PARTS[kind](n, axis)),
         normalization=math.pi**2 if kind == "q-marginal" else 1.0,
     )
 

@@ -257,7 +257,8 @@ class TestMarginal:
         np.testing.assert_allclose(values, expected, rtol=1e-10, atol=1e-13)
 
     def test_photon_number_above_limit_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(marginals, "_marginal_value", None)
+        for kind in marginals._AXIS_PARTS:
+            monkeypatch.setitem(marginals._AXIS_PARTS, kind, None)
         limit = marginals._MAX_N
         code, out, err = run_cli(["marginal", "w", "--n", str(limit + 1)], capsys)
         assert code == 2

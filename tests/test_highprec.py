@@ -1,17 +1,23 @@
-"""60-digit mpmath oracle for the closed-form correlators.
+"""mpmath oracles for the closed-form correlators and marginals.
 
 The Fock oracle reaches only small photon numbers, but the closed forms run
 up to N in the hundreds, and above N = 20 they switch to log-space powers and
 rely on a long Laguerre recurrence.  Here each formula is re-evaluated in
 60-digit arithmetic straight from its definition, with mpmath's own Laguerre
 polynomial, over |Re|, |Im| <= 5.
+
+The marginals' per-axis parts come from three-term recurrences (the Wigner
+one is the same as the test helper's Hermite functions).  They are checked
+in 40-digit arithmetic against mpmath's Hermite polynomials and, for the
+no-click polynomial part, against mpmath's quadrature of its defining
+integral.
 """
 
 import numpy as np
 import pytest
 from mpmath import mp
 
-from noonbell import parity_corr, q_joint, q_single_a
+from noonbell import marginals, parity_corr, q_joint, q_single_a
 
 TOL = 1e-13
 NS = [1, 5, 20, 21, 25, 60, 100, 300]
@@ -60,3 +66,34 @@ def test_closed_forms_match_60_digit_oracle(n):
             ):
                 worst[name] = max(worst[name], float(abs(float(ours) - ref)))
     assert max(worst.values()) <= TOL, worst
+
+
+def mp_axis_parts(n, y):
+    """The q parts (P_N, sqrt(pi) e^(-y^2), g_N) / pi and the w parts
+    (phi_N^2, phi_0^2, phi_N phi_0) at one y, from their definitions."""
+    y = mp.mpf(y)
+    damping = mp.sqrt(mp.pi) * mp.exp(-y * y)
+    integral = mp.quad(lambda x: mp.exp(-x * x) * (x * x + y * y) ** n, [-mp.inf, 0, mp.inf])
+    poly = mp.exp(-y * y) * integral / mp.factorial(n)
+    power = damping * mp.hermite(n, y) / (2**n * mp.sqrt(mp.factorial(n)))
+
+    def phi(k):
+        scale = (2 / mp.pi) ** 0.25 / mp.sqrt(2**k * mp.factorial(k))
+        return scale * mp.hermite(k, mp.sqrt(2) * y) * mp.exp(-y * y)
+
+    q_parts = (poly / mp.pi, damping / mp.pi, power / mp.pi)
+    return q_parts, (phi(n) ** 2, phi(0) ** 2, phi(n) * phi(0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 200])
+def test_marginal_axis_parts_match_40_digit_oracle(n):
+    h = n**0.5 + 4.0
+    worst = 0.0
+    with mp.workdps(40):
+        for y in np.linspace(-h, h, 16):
+            q_ref, w_ref = mp_axis_parts(n, y)
+            ours = marginals._q_axis(n, y) + marginals._w_axis(n, y)
+            for part, ref in zip(ours, q_ref + w_ref):
+                if abs(ref) > 1e-300:
+                    worst = max(worst, float(abs((float(part) - ref) / ref)))
+    assert worst <= 1e-12

@@ -34,6 +34,12 @@ def mc_marginal_q(n, y, v, samples, seed):
     return float(np.mean(values)), float(np.std(values) / math.sqrt(samples))
 
 
+def stub_axis_parts(monkeypatch):
+    """Make every per-axis computation fail, to prove a check runs first."""
+    for kind in marginals._AXIS_PARTS:
+        monkeypatch.setitem(marginals._AXIS_PARTS, kind, None)
+
+
 class TestPointValues:
     def test_q_reference_point_against_hand_closed_form(self):
         # N = 1 closed form: (1/2pi) exp(-y^2-v^2) (1 + (y-v)^2)
@@ -61,14 +67,6 @@ class TestPointValues:
             assert marginal_w(n, 0.7, -0.2) == pytest.approx(
                 marginal_w(n, -0.2, 0.7), abs=1e-14
             )
-
-    def test_quadrature_convergence(self):
-        for kind in ("q-marginal", "w-marginal"):
-            for n in (1, 3, 5):
-                for y, v in ((0.4, -1.1), (1.8, 0.9)):
-                    low = marginals._marginal_value(kind, n, y, v, 40)
-                    high = marginals._marginal_value(kind, n, y, v, 80)
-                    assert abs(low - high) < 1e-8
 
 
 class TestNormalization:
@@ -126,7 +124,7 @@ class TestNonlinearDependence:
         # docstring states 3.2e-4 against twice the points for N <= 40
         # (worst seen 3.15e-4, w N = 40)
         value = factored_l1_distance(kind, n)
-        monkeypatch.setattr(marginals, "_L1_POINTS", 1601)
+        monkeypatch.setattr(marginals, "_AXIS_POINTS", 1601)
         assert abs(factored_l1_distance(kind, n) - value) < 3.2e-4
 
     @pytest.mark.parametrize("kind,n,converged", [
@@ -171,8 +169,8 @@ class TestDensityGrid:
             density_grid("w-marginal", 1, range_, 16)
 
     def test_count_upper_bound_before_any_work(self, monkeypatch):
-        # the check runs before the first quadrature call, so nothing is allocated
-        monkeypatch.setattr(marginals, "_marginal_value", None)
+        # the check runs before the first per-axis call, so nothing is allocated
+        stub_axis_parts(monkeypatch)
         with pytest.raises(
             ValueError, match=r"count must be <= 1024, got 100000: 1.00e\+10 values, 80000 MB"
         ):
@@ -230,24 +228,26 @@ class TestGoldenGrids:
 
 
 class TestSeparableForm:
-    """The one-axis-at-a-time integrals against the 2-D Gauss-Hermite rule
-    over (x, u) and against the Hermite-function closed form."""
+    """The per-axis closed forms against the 2-D Gauss-Hermite rule over
+    (x, u), at an order exact for them, and against the Hermite-function
+    closed form."""
 
     @pytest.mark.parametrize("kind", ["q-marginal", "w-marginal"])
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 20, 25, 39])
     def test_matches_2d_rule(self, kind, n):
         axis = np.linspace(-3.0, 3.0, 32)
         y, v = axis[:, np.newaxis], axis[np.newaxis, :]
-        separable = marginals._marginal_value(kind, n, y, v, 40)
-        assert np.max(np.abs(separable - marginal_value_2d(kind, n, y, v, 40))) < 1e-14
+        closed = marginals._marginal_value(kind, n, y, v)
+        order = max(40, n + 2)
+        assert np.max(np.abs(closed - marginal_value_2d(kind, n, y, v, order))) < 1e-14
 
     @pytest.mark.parametrize("kind", ["q-marginal", "w-marginal"])
     @pytest.mark.parametrize("n", [40, 100, 200])
     def test_matches_2d_rule_at_derived_order(self, kind, n):
         y = np.array([0.0, 0.3, 2.0, -1.7])
         v = np.array([0.0, -1.2, 0.5, -2.4])
-        separable = marginals._marginal_value(kind, n, y, v, n + 2)
-        assert np.max(np.abs(separable - marginal_value_2d(kind, n, y, v, n + 2))) < 1e-14
+        closed = marginals._marginal_value(kind, n, y, v)
+        assert np.max(np.abs(closed - marginal_value_2d(kind, n, y, v, n + 2))) < 1e-14
 
     @pytest.mark.parametrize("n", [1, 5, 39, 40, 100, marginals._MAX_N])
     def test_w_against_hermite_closed_form(self, n):
@@ -270,34 +270,37 @@ class TestSeparableForm:
 
     @pytest.mark.parametrize("kind", ["q-marginal", "w-marginal"])
     def test_finite_far_outside_the_support(self, kind):
-        # the factors overflow only where the damping underflows to 0
-        grid = density_grid(kind, marginals._MAX_N, 1e3, 16)
-        assert np.all(np.isfinite(grid.values))
-        assert np.isfinite(factored_l1_distance(kind, marginals._MAX_N))
-
-
-class TestCachedRule:
-    """Each Gauss-Hermite order is built once; the cached nodes and weights
-    give the same bits as a rule built afresh at every call."""
-
-    def test_read_only(self):
-        t, w = marginals._hermgauss(40)
-        assert not t.flags.writeable and not w.flags.writeable
-        assert marginals._hermgauss(40)[0] is t
+        # at the limit the recurrences stay finite over the statistics' axis
+        # (|y| <= 26) and at the grid's far points: no floating-point error
+        n = marginals._MAX_N
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            grid = density_grid(kind, n, 1e3, 16)
+            assert np.all(np.isfinite(grid.values))
+            assert np.isfinite(factored_l1_distance(kind, n))
+            assert np.isfinite(correlation_coefficient(kind, n))
 
     @pytest.mark.parametrize("kind", ["q-marginal", "w-marginal"])
-    @pytest.mark.parametrize("n", [1, 2, 39, 100])
-    def test_bitwise_equal_to_fresh_rule(self, monkeypatch, kind, n):
-        def results():
-            return (
-                marginal_integral(kind, n),
-                correlation_coefficient(kind, n),
-                density_grid(kind, n, 3.0, 16).values.tobytes(),
-            )
+    def test_zero_where_the_square_overflows(self, kind):
+        # y^2 overflows beyond |y| = 1.3e154 and 2y beyond 9e307; every part
+        # is 0 there, so the density is too, with no floating-point error
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert np.all(density_grid(kind, 3, 1e300, 16).values == 0.0)
+            far = np.array([1.7e308, -1e200, np.inf, -np.inf])
+            assert np.all(marginals._marginal_value(kind, 3, far, 0.3) == 0.0)
+            assert np.all(marginals._marginal_value(kind, 200, -0.3, far) == 0.0)
 
-        cached = results()
-        monkeypatch.setattr(marginals, "_axis_rule", handcoded.axis_rule)
-        assert results() == cached
+
+class TestStatistics:
+    """The moments against their closed forms: zero means, variances
+    (N + 1)/4 (w) and (N + 2)/4 (q), covariance -1/4 at N = 1, else 0."""
+
+    @pytest.mark.parametrize("kind,offset", [("q-marginal", 2), ("w-marginal", 1)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 100, 200])
+    def test_against_closed_forms(self, kind, offset, n):
+        total, mean_y, mean_v, var_y, var_v, cov = marginals._moments(kind, n)
+        expected = (1.0, 0.0, 0.0, (n + offset) / 4, (n + offset) / 4, -0.25 if n == 1 else 0.0)
+        got = (total, mean_y, mean_v, var_y, var_v, cov)
+        assert np.max(np.abs(np.subtract(got, expected))) < 1e-12
 
 
 class TestPhotonNumberLimit:
@@ -310,9 +313,7 @@ class TestPhotonNumberLimit:
         lambda n: density_grid("w", n, 3.0, 64),
     ])
     def test_above_the_limit_before_any_work(self, monkeypatch, call):
-        monkeypatch.setattr(marginals, "_marginal_value", None)
-        monkeypatch.setattr(marginals, "_axis_rule", None)
-        monkeypatch.setattr(marginals, "_hermgauss", None)
+        stub_axis_parts(monkeypatch)
         limit = marginals._MAX_N
         with pytest.raises(ValueError, match=f"photon number <= {limit}, got {limit + 1}"):
             call(limit + 1)
