@@ -5,11 +5,12 @@ Brute-force reference implementation used to cross-check every closed form in
 over the number basis: a single-mode state is a vector indexed by n, a
 two-mode state a (cutoff, cutoff) matrix indexed by (n_a, n_b), and a
 single-mode operator a (cutoff, cutoff) matrix.  Displacements are built from
-the associated-Laguerre matrix elements, and expectation values are plain
-linear algebra: sums over the whole truncated basis, with the operators'
-outer index restricted to the number states the state occupies (every other
-row meets only zero amplitudes).  Cutoffs are kept small (<= 128 per mode),
-so dense storage is simpler and fast enough.
+one table of normalized associated-Laguerre functions, every entry bounded
+by 1, so no factorial, power or Laguerre polynomial that could overflow is
+ever formed.  Expectation values are plain linear algebra: sums over the
+whole truncated basis, with the operators' outer index restricted to the
+number states the state occupies (every other row meets only zero
+amplitudes), so even a cutoff in the thousands builds only a few rows.
 
 Every returned array is read-only, and every operation is a pure function of
 its inputs.
@@ -17,7 +18,7 @@ its inputs.
 
 from __future__ import annotations
 
-import functools
+import cmath
 import math
 import numpy as np
 
@@ -34,8 +35,10 @@ __all__ = [
     "apply_swap_unitary",
 ]
 
-# Coherent-state tail mass beyond 4|alpha|^2 photons is far below 1e-10, so
-# amplitudes are admissible whenever |alpha|^2 <= cutoff / 4.
+# Amplitudes are admissible whenever |alpha|^2 <= cutoff / 4, i.e. the cutoff
+# is at least four mean photon numbers.  That bounds the coherent tail mass
+# beyond the cutoff only loosely (1.9e-2 at |alpha|^2 = 1, 4.9e-6 at 4,
+# 9.9e-12 at 9); callers that need more headroom pass a larger cutoff.
 _GUARD_RATIO = 4.0
 _RENORM_TAIL = 1e-12
 
@@ -54,6 +57,8 @@ class TruncationError(ValueError):
 
 
 def _check_guard(alpha: complex, cutoff: int) -> None:
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be at least 1, got {cutoff}")
     s = abs(alpha) ** 2
     if s > cutoff / _GUARD_RATIO:
         raise TruncationError(alpha, cutoff, math.ceil(_GUARD_RATIO * s))
@@ -66,30 +71,37 @@ def default_cutoff(n, *amplitudes: complex) -> int:
     return math.ceil(_GUARD_RATIO * peak) + n + 10
 
 
-@functools.lru_cache(maxsize=8)
-def _log_factorials(cutoff: int) -> np.ndarray:
-    """log(n!) for n = 0 .. cutoff - 1, read-only.  Cached: oracle callers
-    repeat one cutoff."""
-    return _freeze(np.array([math.lgamma(n + 1.0) for n in range(cutoff)]))
+def _poisson_amplitudes(x: float, orders: int) -> np.ndarray:
+    """sqrt(exp(-x) x^d / d!) for 0 <= d < orders, as the running product
+    exp(-x/2) prod_{j <= d} sqrt(x/j): every partial product is itself one of
+    the amplitudes, so none overflows, and x = 0 gives (1, 0, 0, ...)."""
+    factors = np.empty(orders)
+    factors[0] = math.exp(-0.5 * x)
+    factors[1:] = np.sqrt(x / np.arange(1.0, orders))
+    return np.cumprod(factors)
 
 
-def _genlaguerre_table(depth: int, orders: int, x: float) -> np.ndarray:
-    """T[k, a] = L_k^(a)(x) for 0 <= k < depth and 0 <= a < orders, by the
+def _laguerre_functions(x: float, depth: int, orders: int) -> np.ndarray:
+    """T[k, d] = sqrt(k!/(k+d)!) x^(d/2) exp(-x/2) L_k^(d)(x) for
+    0 <= k < depth and 0 <= d < orders, all bounded by 1 in magnitude.  Row 0
+    is :func:`_poisson_amplitudes`; the later rows follow from the normalized
     three-term recurrence in k,
-    (k+1) L_{k+1}^(a) = (2k+1+a-x) L_k^(a) - (k+a) L_{k-1}^(a),
-    run for every order a at once.  Each column's recurrence is independent
+
+        sqrt((k+1)(k+1+d)) T[k+1] = (2k+1+d-x) T[k] - sqrt(k(k+d)) T[k-1],
+
+    run for every order d at once.  Each column's recurrence is independent
     of the others and of the depth, so a shallower table is a prefix of a
     deeper one, bit for bit."""
-    k = np.arange(depth, dtype=float)[:, None]
-    a = np.arange(orders, dtype=float)
-    grow = (2.0 * k + 1.0 + a - x) / (k + 1.0)
-    fall = (k + a) / (k + 1.0)
-    table = np.empty((depth, orders))
-    table[0] = 1.0
-    if depth > 1:
-        table[1] = 1.0 + a - x
-    for i in range(1, depth - 1):
-        table[i + 1] = grow[i] * table[i] - fall[i] * table[i - 1]
+    table = np.zeros((depth, orders))
+    table[0] = _poisson_amplitudes(x, orders)
+    k = np.arange(depth - 1, dtype=float)[:, None]
+    d = np.arange(orders, dtype=float)
+    grow = 2.0 * k + 1.0 + d - x
+    fall = np.sqrt(k * (k + d))
+    norm = np.sqrt((k + 1.0) * (k + 1.0 + d))
+    # fall[0] = 0, so the first step reads the still-zero last row as T[-1]
+    for i in range(depth - 1):
+        table[i + 1] = (grow[i] * table[i] - fall[i] * table[i - 1]) / norm[i]
     return table
 
 
@@ -118,43 +130,36 @@ def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
     truncation stays visible.
     """
     _check_guard(alpha, cutoff)
-    ns = np.arange(cutoff)
-    if alpha == 0:
-        amps = np.zeros(cutoff, dtype=np.complex128)
-        amps[0] = 1.0
-        return _freeze(amps)
-    log_mag = -0.5 * abs(alpha) ** 2 + ns * math.log(abs(alpha)) - 0.5 * _log_factorials(cutoff)
-    amps = np.exp(log_mag) * np.exp(1j * ns * np.angle(alpha))
-    tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
-    if tail < _RENORM_TAIL:
-        amps = amps / np.linalg.norm(amps)
+    mags = _poisson_amplitudes(abs(alpha) ** 2, cutoff)
+    mass = float(mags @ mags)
+    if 1.0 - mass < _RENORM_TAIL:
+        mags = mags / math.sqrt(mass)
+    amps = mags * cmath.exp(1j * cmath.phase(alpha)) ** np.arange(cutoff)
     return _freeze(amps)
 
 
 def _displacement_rows(alpha: complex, cutoff: int, rows: np.ndarray) -> np.ndarray:
     """Rows ``rows`` (ascending) of the matrix <m|D(alpha)|n>, 0 <= n < cutoff,
-    from the associated-Laguerre closed form
+    from the normalized associated-Laguerre functions T of
+    :func:`_laguerre_functions` at x = |alpha|^2:
 
-        <m|D|n> = sqrt(n!/m!) alpha^(m-n) exp(-|a|^2/2) L_n^(m-n)(|a|^2)   (m >= n)
-        <m|D|n> = sqrt(m!/n!) (-conj(alpha))^(n-m) exp(-|a|^2/2) L_m^(n-m)(|a|^2)
+        <m|D|n> = (alpha/|alpha|)^(m-n) T[n, m-n]          (m >= n)
+        <m|D|n> = (-conj(alpha)/|alpha|)^(n-m) T[m, n-m]   (m < n)
 
     which avoids the eigendecomposition error of a matrix exponential at
     large cutoff.  The Laguerre degree min(m, n) never exceeds the last row,
-    so the table runs only that deep.  Each element is computed as in the
-    full matrix, so the rows equal its rows bit for bit."""
+    so the table runs only that deep, and the rows equal those of the full
+    matrix bit for bit."""
     _check_guard(alpha, cutoff)
     rows = np.asarray(rows)
     m_idx = rows[:, None]
     n_idx = np.arange(cutoff)
-    k_lo = np.minimum(m_idx, n_idx)
+    table = _laguerre_functions(abs(alpha) ** 2, int(rows[-1]) + 1, cutoff)
     diff = np.abs(m_idx - n_idx)
-    x = abs(alpha) ** 2
-    lag = _genlaguerre_table(int(rows[-1]) + 1, cutoff, x)[k_lo, diff]
-    log_fact = _log_factorials(cutoff)
-    prefactor = np.exp(0.5 * (log_fact[k_lo] - log_fact[np.maximum(m_idx, n_idx)]))
-    base = np.where(m_idx >= n_idx, alpha, -np.conjugate(alpha)) ** diff
-    mat = prefactor * base * math.exp(-0.5 * x) * lag
-    return mat.astype(np.complex128, copy=False)
+    unit = cmath.exp(1j * cmath.phase(alpha))
+    below, above = unit**n_idx, (-unit.conjugate()) ** n_idx
+    phase = np.where(m_idx >= n_idx, below[diff], above[diff])
+    return phase * table[np.minimum(m_idx, n_idx), diff]
 
 
 def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
@@ -166,11 +171,6 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
 
 def oracle_q_joint(n, alpha: complex, beta: complex, cutoff: int) -> float:
     """|<alpha, beta | state>|^2 computed entirely in the truncated space."""
-    n = photon_number(n)
-    if cutoff <= n:
-        raise ValueError(f"cutoff must exceed the photon number: {cutoff} <= {n}")
-    _check_guard(alpha, cutoff)
-    _check_guard(beta, cutoff)
     psi = noon_state(n, cutoff)
     ca = coherent_state(alpha, cutoff)
     cb = coherent_state(beta, cutoff)
@@ -188,19 +188,17 @@ def _displaced_parity(alpha: complex, cutoff: int, rows: np.ndarray) -> np.ndarr
 
 def oracle_parity_corr(n, alpha: complex, beta: complex, cutoff: int) -> float:
     """<state| D_a D_b (-1)^(n_a+n_b) D_a^+ D_b^+ |state> by matrix algebra.
-    Only the number states the state occupies (0 and N in each mode) meet a
-    nonzero amplitude, so only those rows of the operators are built."""
+    The state occupies only the number states 0 and N in each mode, so only
+    those rows of the operators are built."""
     n = photon_number(n)
     required = default_cutoff(n, alpha, beta)
     if cutoff < required:
         bigger = alpha if abs(alpha) >= abs(beta) else beta
         raise TruncationError(bigger, cutoff, required)
-    psi = noon_state(n, cutoff)
-    rows_a = np.flatnonzero(np.any(psi, axis=1))
-    rows_b = np.flatnonzero(np.any(psi, axis=0))
-    ma = _displaced_parity(alpha, cutoff, rows_a)
-    mb = _displaced_parity(beta, cutoff, rows_b)
-    sub = psi[np.ix_(rows_a, rows_b)]
+    rows = np.array([0, n])
+    sub = noon_state(n, cutoff)[np.ix_(rows, rows)]
+    ma = _displaced_parity(alpha, cutoff, rows)
+    mb = _displaced_parity(beta, cutoff, rows)
     value = np.vdot(sub, ma @ sub @ mb.T)
     return float(value.real)
 

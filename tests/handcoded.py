@@ -14,13 +14,18 @@ The heatmap oracle is the per-cell SVG writer that ``svgplot.heatmap_svg``
 replaced: one colour function call and one formatted ``<rect>`` per cell.
 
 The dense Fock oracle builds the full displacement matrices and displaced
-parity operators that ``fock`` now builds only on the state's support.
+parity operators that ``fock`` now builds only on the state's support, from
+the log-factorial table, the unnormalized associated-Laguerre table and the
+power assembly that ``fock``'s normalized Laguerre functions replaced.  The
+40-digit Fock oracle evaluates the same truncated-space sums in mpmath, with
+mpmath's own Laguerre polynomial.
 """
 
 import math
 from io import StringIO
 
 import numpy as np
+from mpmath import mp
 
 from noonbell import (
     TruncationError,
@@ -34,7 +39,7 @@ from noonbell import (
     wigner,
 )
 from noonbell.correlators import photon_number
-from noonbell.fock import _check_guard, _freeze, _log_factorials
+from noonbell.fock import _check_guard, _freeze
 from noonbell.svgplot import _FONT, _escape, _fmt
 
 _CATALOG = catalog()
@@ -352,6 +357,11 @@ def heatmap_svg(
     return buf.getvalue()
 
 
+def _log_factorials(cutoff: int) -> np.ndarray:
+    """log(n!) for n = 0 .. cutoff - 1."""
+    return np.array([math.lgamma(n + 1.0) for n in range(cutoff)])
+
+
 def _genlaguerre_table(cutoff: int, x: float) -> np.ndarray:
     """T[k, a] = L_k^(a)(x) for 0 <= k, a < cutoff, by the three-term
     recurrence in k, (k+1) L_{k+1}^(a) = (2k+1+a-x) L_k^(a) - (k+a) L_{k-1}^(a),
@@ -410,3 +420,45 @@ def oracle_parity_corr(n, alpha: complex, beta: complex, cutoff: int) -> float:
     psi = noon_state(n, cutoff)
     value = np.vdot(psi, ma @ psi @ mb.T)
     return float(value.real)
+
+
+def mp_laguerre(k, d, x):
+    """mpmath's L_k^(d)(x), allowed to be exactly zero (L_1^(0)(1) is):
+    without ``zeroprec`` mpmath raises rather than return an exact zero."""
+    return mp.laguerre(k, d, x, zeroprec=4 * mp.prec)
+
+
+def mp_oracle_parity_corr(n, alpha: complex, beta: complex, cutoff: int, dps: int = 40) -> float:
+    """The truncated-space sum that ``oracle_parity_corr`` computes, in
+    ``dps``-digit arithmetic: each <m|D|k> straight from the associated-
+    Laguerre closed form with mpmath's Laguerre polynomial, on the rows
+    m in {0, N} that the state occupies, summed over 0 <= k < cutoff."""
+    n = photon_number(n)
+    rows = (0, n)
+    with mp.workdps(dps):
+
+        def element(a, m, k):
+            lo, hi = min(m, k), max(m, k)
+            base = a if m >= k else -mp.conj(a)
+            x = abs(a) ** 2
+            return (
+                mp.sqrt(mp.factorial(lo) / mp.factorial(hi))
+                * base ** (hi - lo) * mp.exp(-x / 2) * mp_laguerre(lo, hi - lo, x)
+            )
+
+        def displaced_parity(a):
+            a = mp.mpc(a)
+            d = {m: [element(a, m, k) for k in range(cutoff)] for m in rows}
+            return {
+                (r, s): mp.fsum((-1) ** k * d[r][k] * mp.conj(d[s][k]) for k in range(cutoff))
+                for r in rows for s in rows
+            }
+
+        ma, mb = displaced_parity(alpha), displaced_parity(beta)
+        amp = 1 / mp.sqrt(2)
+        psi = {(n, 0): amp, (0, n): -amp}
+        value = mp.fsum(
+            psi[r, s] * ma[r, rp] * mb[s, sp] * psi[rp, sp]
+            for (r, s) in psi for (rp, sp) in psi
+        )
+        return float(mp.re(value))

@@ -1,10 +1,15 @@
-"""mpmath oracles for the closed-form correlators and marginals.
+"""mpmath oracles for the closed-form correlators, the marginals and the
+Fock oracle's Laguerre functions.
 
-The Fock oracle reaches only small photon numbers, but the closed forms run
-up to N in the hundreds, and above N = 20 they switch to log-space powers and
-rely on a long Laguerre recurrence.  Here each formula is re-evaluated in
-60-digit arithmetic straight from its definition, with mpmath's own Laguerre
-polynomial, over |Re|, |Im| <= 5.
+The closed forms run up to N in the hundreds, and above N = 20 they switch
+to log-space powers and rely on a long Laguerre recurrence.  Here each
+formula is re-evaluated in 60-digit arithmetic straight from its definition,
+with mpmath's own Laguerre polynomial, over |Re|, |Im| <= 5.
+
+The Fock oracle derives the same correlators by a separate route, from
+normalized associated-Laguerre functions that are checked here against
+40-digit mpmath; at N up to 200 and amplitudes up to sqrt(N) + 2 it must
+match the closed forms with no floating-point overflow or invalid operation.
 
 The marginals' per-axis parts come from three-term recurrences (the Wigner
 one is the same as the test helper's Hermite functions).  They are checked
@@ -17,7 +22,8 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from noonbell import marginals, parity_corr, q_joint, q_single_a
+import handcoded
+from noonbell import fock, marginals, oracle_parity_corr, oracle_q_joint, parity_corr, q_joint, q_single_a
 
 TOL = 1e-13
 NS = [1, 5, 20, 21, 25, 60, 100, 300]
@@ -97,3 +103,62 @@ def test_marginal_axis_parts_match_40_digit_oracle(n):
                 if abs(ref) > 1e-300:
                     worst = max(worst, float(abs((float(part) - ref) / ref)))
     assert worst <= 1e-12
+
+
+def mp_laguerre_function(k, d, x):
+    """sqrt(k!/(k+d)!) x^(d/2) exp(-x/2) L_k^(d)(x) from its definition."""
+    x = mp.mpf(x)
+    scale = mp.exp(0.5 * (mp.loggamma(k + 1) - mp.loggamma(k + d + 1)) - x / 2)
+    return scale * x ** (mp.mpf(d) / 2) * handcoded.mp_laguerre(k, d, x)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", [1e-6, 0.5, 4.5, 64.0, 256.0])
+def test_laguerre_functions_match_40_digit_oracle(x):
+    depth, orders = 201, 2800
+    with np.errstate(over="raise", invalid="raise"):
+        table = fock._laguerre_functions(x, depth, orders)
+    rng = np.random.default_rng(int(x * 1e6))
+    ks = np.concatenate([[0, 0, depth - 1, depth - 1], rng.integers(0, depth, 36)])
+    ds = np.concatenate([[0, orders - 1, 0, orders - 1], rng.integers(0, orders, 36)])
+    # and along the peak d = x - k, where the functions are largest
+    ks = np.concatenate([ks, rng.integers(0, depth, 10)])
+    ds = np.concatenate([ds, np.clip(np.round(x - ks[-10:]), 0, orders - 1).astype(int)])
+    # Rounding errors of the forward recurrence in k grow like k^2 eps where
+    # x is small (4.1e-13 at k = 200, d = 0, x = 1e-6; the unnormalized
+    # Laguerre recurrence it replaced erred by 3.6e-13 there)
+    eps = np.finfo(float).eps
+    worst = 0.0
+    with mp.workdps(40):
+        for k, d in zip(ks.tolist(), ds.tolist()):
+            err = float(abs(table[k, d] - mp_laguerre_function(k, d, x)))
+            worst = max(worst, err / max(1e-13, 0.1 * k * k * eps))
+    assert worst <= 1.0
+
+
+def large_n_cutoff(n, *amplitudes):
+    """N + |a|^2 + 10|a| sqrt(N+1) + 30 at the largest |a|: room for the
+    displaced number state D(a)|N>, which spreads over ~2|a| sqrt(N) states."""
+    a = max(abs(z) for z in amplitudes)
+    return int(np.ceil(n + a * a + 10.0 * a * np.sqrt(n + 1.0) + 30.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [10, 25, 50, 100, 200])
+def test_fock_oracle_matches_closed_forms_at_large_n(n):
+    rng = np.random.default_rng(2000 + n)
+    # tiny amplitudes are where the Laguerre recurrence rounds worst
+    points = [(1e-3, 1e-3j), (0.05, -0.05)]
+    for radius in (1.5, np.sqrt(n) + 2.0):
+        r = radius * np.sqrt(rng.uniform(0.0, 1.0, (6, 2)))
+        points += (r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (6, 2)))).tolist()
+    worst = {"q_joint": 0.0, "parity_corr": 0.0}
+    with np.errstate(over="raise", invalid="raise"):
+        for a, b in points:
+            cutoff = large_n_cutoff(n, a, b)
+            for name, ours, ref in (
+                ("q_joint", oracle_q_joint(n, a, b, cutoff), q_joint(n, a, b)),
+                ("parity_corr", oracle_parity_corr(n, a, b, cutoff), parity_corr(n, a, b)),
+            ):
+                worst[name] = max(worst[name], abs(ours - ref))
+    assert max(worst.values()) <= 1e-12, worst
